@@ -287,9 +287,9 @@ fn summarize(
     // which is `restart_ready_s`.
     report.end_to_end("throughput_per_s", median(&rates).unwrap_or(0.0), "1/s");
     report.end_to_end("latency_p50_ms", median(&readyz_ms).unwrap_or(0.0), "ms");
-    report.end_to_end("latency_tail_ms", q(&readyz_ms, 0.9), "ms");
+    report.named("restart_readyz_p90_ms", q(&readyz_ms, 0.9), "ms");
     report.end_to_end("read_p50_ms", ready_p50, "ms");
-    report.end_to_end("read_tail_ms", q(&ready_ms, 0.9), "ms");
+    report.named("restart_ready_p90_ms", q(&ready_ms, 0.9), "ms");
     report.end_to_end("setup_s", setup_s, "s");
 
     if !opts.trace {

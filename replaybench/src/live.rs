@@ -531,9 +531,13 @@ fn summarize(
         .collect();
     report.end_to_end("throughput_per_s", rate, "1/s");
     report.end_to_end("latency_p50_ms", q(&bursts, 0.5), "ms");
-    report.end_to_end("latency_tail_ms", q(&bursts, 0.9), "ms");
+    report.named("alert_lag_epoch_p90_ms", q(&bursts, 0.9), "ms");
     report.end_to_end("read_p50_ms", q(&service, 0.5), "ms");
-    report.end_to_end("read_tail_ms", median(&replay_p90s).unwrap_or(0.0), "ms");
+    report.named(
+        "live_frame_service_p90_ms",
+        median(&replay_p90s).unwrap_or(0.0),
+        "ms",
+    );
     report.end_to_end("setup_s", inputs_s + median(&setups).unwrap_or(0.0), "s");
 
     if !opts.trace {

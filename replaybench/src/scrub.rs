@@ -380,9 +380,9 @@ fn summarize(runs: &[Iteration], opts: &Options, inputs_s: f64, report: &mut Rep
     // few steps a host hiccup hits, and reads differently run to run.
     report.end_to_end("throughput_per_s", rate, "1/s");
     report.end_to_end("latency_p50_ms", q(&step_ms, 0.5), "ms");
-    report.end_to_end("latency_tail_ms", q(&step_ms, 0.9), "ms");
+    report.named("scrub_step_p90_ms", q(&step_ms, 0.9), "ms");
     report.end_to_end("read_p50_ms", q(&render_ms, 0.5), "ms");
-    report.end_to_end("read_tail_ms", q(&render_ms, 0.9), "ms");
+    report.named("scrub_render_p90_ms", q(&render_ms, 0.9), "ms");
     report.end_to_end("setup_s", inputs_s + median(&setups).unwrap_or(0.0), "s");
 
     if !opts.trace {
