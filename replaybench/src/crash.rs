@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use batchlens::durability::{self, RestoredLens};
 use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::wal::WalWriter;
-use batchlens::trace::{Timestamp, TraceDataset};
-use batchlens::{BatchLens, SessionLog};
+use batchlens::trace::{QueryFrame, Timestamp, TraceDataset};
+use batchlens::{BatchLens, SessionLog, ViewState};
 use batchlens_serve::session::FrameInfo;
 
 use crate::http::{Client, Serving};
@@ -28,9 +28,13 @@ use crate::Options;
 /// How many non-ready answers a restart tolerates before giving up.
 const READY_TRIES: u32 = 1000;
 
-/// The pre-crash state every restart must reproduce.
+/// The pre-crash state every restart must reproduce. Only the frame a new
+/// session first serves is kept, not the lens: the pre-crash lens and
+/// monitor are dropped before the first restart, so the peak resident set
+/// is the restored program's.
 struct PreCrash {
-    lens: BatchLens,
+    first_at: Timestamp,
+    first_frame: Arc<QueryFrame>,
     state_version: u64,
     ingested: u64,
     total_alerts: u64,
@@ -71,7 +75,7 @@ pub fn run(
             .map_err(|e| format!("open WAL: {e}"))?,
     );
     let io_before = WriteIo::of_this_thread();
-    inputs.feed(&monitor, &inputs.seal_batches(), &mut setup_rec);
+    inputs.feed(&monitor, &mut setup_rec, |_| {});
     let io = io_before
         .zip(WriteIo::of_this_thread())
         .map(|(before, after)| after.since(before));
@@ -85,13 +89,18 @@ pub fn run(
     let setup = setup_start.elapsed();
     report.attempted += inputs.records as u64;
     report.failed += monitor.wal_errors() + monitor.stale_dropped();
+    // A new session starts at the view's default instant.
+    let first_at = ViewState::new(lens.view().extent()).selected_timestamp();
     let pre = PreCrash {
+        first_at,
+        first_frame: lens.frame_at(first_at),
         state_version: monitor.state_version(),
         ingested: monitor.ingested(),
         total_alerts: monitor.total_alerts(),
         next_alert_seq: monitor.next_alert_seq(),
-        lens,
     };
+    drop(lens);
+    drop(monitor);
     spans::merge(&mut report.spans, setup_rec.into_spans());
 
     let budget = Duration::from_secs_f64(opts.seconds);
@@ -194,12 +203,12 @@ fn restart(
     // The served frame is in the restored lens's cache, so this is the
     // capture the server answered from.
     let served = lens.frame_at(at);
-    let expected = pre.lens.frame_at(at);
     report.check(
         "crash_restart: first served frame equals the pre-crash frame",
         info.as_ref()
             .is_some_and(|i| !i.stale && i.version == pre.state_version)
-            && *served == *expected,
+            && at == pre.first_at
+            && *served == *pre.first_frame,
         || {
             format!(
                 "frame at {at} differs (served version {})",

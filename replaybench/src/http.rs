@@ -22,6 +22,8 @@ pub struct Client {
     pub requests: u64,
     /// Responses whose status was not `200`.
     pub non_ok: u64,
+    /// Bytes of the requests sent.
+    pub written: u64,
 }
 
 impl Client {
@@ -39,10 +41,11 @@ impl Client {
             reader,
             requests: 0,
             non_ok: 0,
+            written: 0,
         })
     }
 
-    /// One round trip. Transport failures end the run: a benchmark whose
+    /// One round trip, written with one `write` call. Transport failures end the run: a benchmark whose
     /// loopback server vanished has nothing left to measure.
     ///
     /// # Panics
@@ -60,6 +63,7 @@ impl Client {
             .expect("response framed")
             .expect("connection kept open");
         self.requests += 1;
+        self.written += request.len() as u64;
         if response.status != 200 {
             self.non_ok += 1;
         }

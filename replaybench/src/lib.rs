@@ -82,6 +82,10 @@ pub struct Options {
     pub work_dir: PathBuf,
     /// Where a traced run writes its spans.
     pub out_dir: PathBuf,
+    /// The `replaybench` binary. The inputs are simulated by a child
+    /// process running it with `--generate`, so the measured process's
+    /// peak resident set is the workload's, not the simulator's.
+    pub exe: PathBuf,
 }
 
 /// Runs one workload and returns its report.
@@ -98,13 +102,21 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     let _cleanup = RemoveOnDrop(opts.work_dir.clone());
 
     let started = Instant::now();
-    let inputs = inputs::Inputs::generate(opts.seed, opts.machines, &opts.work_dir)?;
+    let store_dir = opts.work_dir.join("store");
+    let simulated = generate(opts, &store_dir)?;
+    let inputs = inputs::Inputs::load(
+        store_dir,
+        simulated,
+        opts.workload != Workload::ScrubSessions,
+    )?;
     let inputs_s = started.elapsed().as_secs_f64();
+    let loaded_rss = probe::rss_mb().unwrap_or(0.0);
 
     let mut report = Report::new(opts.workload, opts.trace);
     report.note(format!(
         "inputs: paper day seed {} on {} machines, {} usage records in {} epochs, \
-         {} structural events, generated in {inputs_s:.3} s",
+         {} structural events, generated in {inputs_s:.3} s; resident set once \
+         loaded {loaded_rss:.0} MB",
         opts.seed,
         opts.machines,
         inputs.records,
@@ -134,6 +146,25 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         ));
     }
     Ok(report)
+}
+
+/// Simulates the day in a child process, which dumps the segment store to
+/// `store_dir` and prints what [`inputs::Simulated`] holds.
+fn generate(opts: &Options, store_dir: &std::path::Path) -> Result<inputs::Simulated, String> {
+    let out = std::process::Command::new(&opts.exe)
+        .arg("--generate")
+        .arg(store_dir)
+        .args(["--seed", &opts.seed.to_string()])
+        .args(["--machines", &opts.machines.to_string()])
+        .stdin(std::process::Stdio::null())
+        .stderr(std::process::Stdio::inherit())
+        .output()
+        .map_err(|e| format!("start {}: {e}", opts.exe.display()))?;
+    if !out.status.success() {
+        return Err(format!("input generation exited with {}", out.status));
+    }
+    inputs::Simulated::from_text(&String::from_utf8_lossy(&out.stdout))
+        .ok_or_else(|| "input generation printed no inputs".to_string())
 }
 
 /// Removes a scratch directory when dropped, so a failed run leaves no

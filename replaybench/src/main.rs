@@ -3,7 +3,12 @@
 //! ```text
 //! replaybench --workload <live_replay|scrub_sessions|crash_restart>
 //!             --seed <n> --seconds <s> --trace <0|1>
+//! replaybench --generate <dir> --seed <n> --machines <m>
 //! ```
+//!
+//! The second form is the input generator a run starts as a child
+//! process: it simulates the day, dumps its segment store to `<dir>`, and
+//! prints the record count and the injected anomalies.
 //!
 //! Prints the run's metrics by name and unit, then, as the last line, one
 //! JSON object with `correct`, `attempted`, `failed` and `metrics` (the
@@ -66,11 +71,41 @@ fn parse(args: &[String]) -> Result<Options, String> {
             std::process::id()
         )),
         out_dir: PathBuf::from(".bench_out"),
+        exe: std::env::current_exe().map_err(|e| format!("own executable: {e}"))?,
     })
+}
+
+/// `--generate <dir> --seed <n> --machines <m>`.
+fn generate(args: &[String]) -> Result<String, String> {
+    let [dir, seed_flag, seed, machines_flag, machines] = args else {
+        return Err("--generate needs <dir> --seed <n> --machines <m>".to_string());
+    };
+    if seed_flag != "--seed" || machines_flag != "--machines" {
+        return Err("--generate needs <dir> --seed <n> --machines <m>".to_string());
+    }
+    let seed = seed
+        .parse::<u64>()
+        .map_err(|_| format!("bad seed: {seed}"))?;
+    let machines = machines
+        .parse::<u32>()
+        .map_err(|_| format!("bad machines: {machines}"))?;
+    replaybench::inputs::simulate(seed, machines, std::path::Path::new(dir)).map(|s| s.to_text())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("--generate") {
+        return match generate(&args[1..]) {
+            Ok(text) => {
+                print!("{text}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("replaybench --generate: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     let opts = match parse(&args) {
         Ok(opts) => opts,
         Err(e) => {

