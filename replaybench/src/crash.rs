@@ -110,6 +110,7 @@ pub fn run(
         let idx = runs.len();
         let traced = opts.trace && idx.is_multiple_of(2);
         runs.push(restart(&dump_dir, &pre, cfg, idx, traced, origin, report)?);
+        report.first_iteration_done();
     }
     summarize(
         &runs,

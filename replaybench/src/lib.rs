@@ -128,7 +128,6 @@ pub fn run(opts: &Options) -> Result<Report, String> {
         Workload::ScrubSessions => scrub::run(&inputs, opts, inputs_s, &mut report)?,
         Workload::CrashRestart => crash::run(&inputs, opts, inputs_s, &mut report)?,
     }
-    report.end_to_end("peak_rss_mb", probe::peak_rss_mb().unwrap_or(0.0), "MB");
 
     if opts.trace {
         report.complete_per_layer();

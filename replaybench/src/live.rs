@@ -181,6 +181,7 @@ pub fn run(
         // difference between the two is the tracing overhead.
         let traced = opts.trace && idx.is_multiple_of(2);
         let run = iteration(inputs, opts, idx, traced, origin, report)?;
+        report.first_iteration_done();
         let reference = reference.get_or_insert_with(|| unlogged_reference(inputs));
         report.check(
             "live_replay: alert stream equals an unlogged, unread monitor's",

@@ -117,6 +117,21 @@ impl Report {
         push(&mut self.named, name, value, unit);
     }
 
+    /// Records `peak_rss_mb` as the process's peak resident set so far, the
+    /// first time it is called: workloads call it after each iteration,
+    /// so the figure covers set-up and one iteration. Later iterations
+    /// rebuild what the first one dropped, and how much of the freed heap
+    /// they reuse varies from run to run with the allocator's state.
+    pub fn first_iteration_done(&mut self) {
+        if !self.end_to_end.iter().any(|m| m.name == "peak_rss_mb") {
+            self.end_to_end(
+                "peak_rss_mb",
+                crate::probe::peak_rss_mb().unwrap_or(0.0),
+                "MB",
+            );
+        }
+    }
+
     /// Adds a human-readable line.
     pub fn note(&mut self, line: String) {
         self.notes.push(line);

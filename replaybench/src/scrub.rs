@@ -100,6 +100,7 @@ pub fn run(
         let idx = runs.len();
         let traced = opts.trace && idx.is_multiple_of(2);
         let run = iteration(inputs, &scripts, idx, traced, origin, report)?;
+        report.first_iteration_done();
         if traced && idx == 0 {
             stage_table(inputs, &scripts, &run.steps, origin, report)?;
         }
