@@ -472,6 +472,17 @@ impl BatchSequencer {
     }
 }
 
+/// The WAL group of one sealed epoch: a `Usage` frame per record, in
+/// delivery order, then the epoch's `EpochSealed` marker.
+fn epoch_group(
+    records: impl Iterator<Item = ServerUsageRecord>,
+    epoch: u64,
+) -> impl Iterator<Item = WalRecord> {
+    records
+        .map(WalRecord::Usage)
+        .chain(std::iter::once(WalRecord::EpochSealed(epoch)))
+}
+
 /// Everything the monitor mutates, behind one lock.
 #[derive(Debug, Default)]
 pub(crate) struct Inner {
@@ -534,12 +545,13 @@ impl Inner {
         }
     }
 
-    /// Appends one delivery to the attached WAL (no-op without one).
-    /// Called before the mutation is applied; IO failures are counted, not
-    /// propagated — see [`StreamMonitor::wal_errors`].
-    fn log_wal(&mut self, record: &WalRecord) {
+    /// Appends deliveries to the attached WAL as one group — one `write`
+    /// ([`WalWriter::append_all`]) — and is a no-op without one. Called
+    /// before the mutations are applied; an IO failure counts once per
+    /// group and is not propagated — see [`StreamMonitor::wal_errors`].
+    fn log_wal(&mut self, records: impl IntoIterator<Item = WalRecord>) {
         if let Some(wal) = self.wal.as_mut() {
-            if let Err(e) = wal.append(record) {
+            if let Err(e) = wal.append_all(records) {
                 self.wal_errors += 1;
                 self.last_wal_error = Some(e.to_string());
             }
@@ -924,10 +936,11 @@ impl StreamMonitor {
         }
     }
 
-    /// WAL appends/syncs that failed at the IO layer since construction.
-    /// Monitoring keeps running through log failures (a full disk must not
-    /// stop detection); a non-zero count means the log has gaps and a
-    /// recovery from it would be correspondingly behind.
+    /// WAL appends/syncs that failed at the IO layer since construction —
+    /// one per failed call, so a sealed epoch's group append counts at
+    /// most once. Monitoring keeps running through log failures (a full
+    /// disk must not stop detection); a non-zero count means the log has
+    /// gaps and a recovery from it would be correspondingly behind.
     pub fn wal_errors(&self) -> u64 {
         self.inner.lock().wal_errors
     }
@@ -960,7 +973,8 @@ impl StreamMonitor {
     pub fn ingest(&self, rec: ServerUsageRecord) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
-        self.ingest_one(&mut inner, rec, &mut alerts);
+        inner.log_wal([WalRecord::Usage(rec)]);
+        self.apply_usage(&mut inner, rec, &mut alerts);
         alerts
     }
 
@@ -968,18 +982,17 @@ impl StreamMonitor {
     /// (one lock, one record) and [`StreamMonitor::ingest_batch`] (one lock,
     /// many records) — which is what makes the batch path bit-identical to
     /// record-at-a-time ingestion, `state_version` included.
-    fn ingest_one(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
+    ///
+    /// Callers log the delivery first — even one this step rejects as a
+    /// straggler, because replaying every *delivery* (acceptance decisions
+    /// depend only on prior deliveries) is what makes recovery reproduce
+    /// `stale_dropped` and `late_accepted` exactly.
+    fn apply_usage(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
         let util = [
             rec.util.cpu.fraction(),
             rec.util.mem.fraction(),
             rec.util.disk.fraction(),
         ];
-        // Logged before applied — and logged even when the record will be
-        // rejected as a straggler, because replaying every *delivery*
-        // (acceptance decisions depend only on prior deliveries) is what
-        // makes recovery reproduce `stale_dropped` and `late_accepted`
-        // exactly.
-        inner.log_wal(&WalRecord::Usage(rec));
         let state = inner
             .machines
             .entry(rec.machine)
@@ -1047,23 +1060,33 @@ impl StreamMonitor {
     /// itself: a batch-logged WAL additionally carries the epoch seal,
     /// which replays as a no-op on query-visible state.
     ///
-    /// Cost: O(records × detectors) amortized, one lock round-trip per
-    /// epoch instead of one per record.
+    /// Logging: the epoch's usage frames and its seal go to the WAL as one
+    /// group ([`WalWriter::append_all`]) before any record is applied, so
+    /// the log bytes equal those of per-record appends followed by
+    /// [`StreamMonitor::seal_epoch`]. A failed group write counts once in
+    /// [`StreamMonitor::wal_errors`] and leaves the epoch out of the log
+    /// (see [`WalWriter::append_all`] for a group that crosses a segment
+    /// rotation); the epoch is still applied.
+    ///
+    /// Cost: O(records × detectors) amortized, one lock round-trip and,
+    /// with a WAL attached, one `write` per epoch (plus one per segment
+    /// rotation it crosses) instead of one of each per record.
     pub fn ingest_batch(&self, batch: &Batch) -> Vec<Alert> {
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
+        inner.log_wal(epoch_group(batch.records.iter().copied(), batch.version));
         for &rec in &batch.records {
-            self.ingest_one(&mut inner, rec, &mut alerts);
+            self.apply_usage(&mut inner, rec, &mut alerts);
         }
-        inner.log_wal(&WalRecord::EpochSealed(batch.version));
         inner.sealed_epoch = Some(batch.version);
         alerts
     }
 
-    /// The sharded fan-out step: ingests one shard's slice of an epoch
-    /// under one lock, tagging every fired alert with the **batch-global**
-    /// index of the record that fired it (so the facade can merge shard
-    /// outputs back into exact record order), then seals `epoch`.
+    /// The sharded fan-out step: logs and ingests one shard's slice of an
+    /// epoch under one lock, exactly as [`StreamMonitor::ingest_batch`]
+    /// does, tagging every fired alert with the **batch-global** index of
+    /// the record that fired it (so the facade can merge shard outputs
+    /// back into exact record order).
     pub(crate) fn apply_batch_part(
         &self,
         part: &[(u32, ServerUsageRecord)],
@@ -1072,11 +1095,11 @@ impl StreamMonitor {
         let mut tagged = Vec::new();
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
+        inner.log_wal(epoch_group(part.iter().map(|&(_, rec)| rec), epoch));
         for &(idx, rec) in part {
-            self.ingest_one(&mut inner, rec, &mut alerts);
+            self.apply_usage(&mut inner, rec, &mut alerts);
             tagged.extend(alerts.drain(..).map(|a| (idx, a)));
         }
-        inner.log_wal(&WalRecord::EpochSealed(epoch));
         inner.sealed_epoch = Some(epoch);
         tagged
     }
@@ -1087,7 +1110,7 @@ impl StreamMonitor {
     /// advances in lockstep. Not query-visible (no version bump).
     pub fn seal_epoch(&self, epoch: u64) {
         let mut inner = self.inner.lock();
-        inner.log_wal(&WalRecord::EpochSealed(epoch));
+        inner.log_wal([WalRecord::EpochSealed(epoch)]);
         inner.sealed_epoch = Some(epoch);
     }
 
@@ -1130,7 +1153,7 @@ impl StreamMonitor {
     pub fn ingest_instance(&self, rec: BatchInstanceRecord) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        inner.log_wal(&WalRecord::Instance(rec));
+        inner.log_wal([WalRecord::Instance(rec)]);
         let live = &mut inner.live;
         live.known_machines.insert(rec.machine);
         if let Some(id) = live.open_instances.remove(&(rec.job, rec.task, rec.seq)) {
@@ -1171,13 +1194,13 @@ impl StreamMonitor {
     ) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        inner.log_wal(&WalRecord::InstanceStarted {
+        inner.log_wal([WalRecord::InstanceStarted {
             job,
             task,
             seq,
             machine,
             at,
-        });
+        }]);
         let live = &mut inner.live;
         live.known_machines.insert(machine);
         if let Some(&id) = live.open_instances.get(&(job, task, seq)) {
@@ -1201,7 +1224,7 @@ impl StreamMonitor {
         let inner = &mut *inner;
         // Logged even when no matching start exists: the no-op outcome is
         // itself deterministic on replay.
-        inner.log_wal(&WalRecord::InstanceFinished { job, task, seq, at });
+        inner.log_wal([WalRecord::InstanceFinished { job, task, seq, at }]);
         let live = &mut inner.live;
         let Some(id) = live.open_instances.remove(&(job, task, seq)) else {
             return false;
@@ -1225,7 +1248,7 @@ impl StreamMonitor {
     pub fn ingest_machine_event(&self, rec: MachineEventRecord) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        inner.log_wal(&WalRecord::MachineEvent(rec));
+        inner.log_wal([WalRecord::MachineEvent(rec)]);
         let live = &mut inner.live;
         live.known_machines.insert(rec.machine);
         let alive = rec.event.keeps_alive();
@@ -1332,7 +1355,7 @@ impl StreamMonitor {
         // Non-empty drains mutate recoverable state (the buffer empties),
         // so they are logged — otherwise a recovered monitor would
         // re-surface alerts the pre-crash consumer already took.
-        inner.log_wal(&WalRecord::AlertsDrained);
+        inner.log_wal([WalRecord::AlertsDrained]);
         let batch = inner.alerts_from(inner.alert_base_seq());
         inner.alerts.clear();
         batch.alerts

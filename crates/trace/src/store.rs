@@ -1573,6 +1573,10 @@ mod tests {
 
     #[test]
     fn dump_open_round_trips_bit_identically() {
+        // Every test that writes or maps segments goes through the store
+        // failpoint sites, so it holds the guard: another test's armed
+        // schedule must not fire on its IO.
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("roundtrip");
         let ds = sample_dataset();
         let report = dump_dataset(&dir, &ds).unwrap();
@@ -1591,6 +1595,7 @@ mod tests {
 
     #[test]
     fn buffered_open_equals_mapped_open() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("buffered");
         let ds = sample_dataset();
         dump_dataset(&dir, &ds).unwrap();
@@ -1602,6 +1607,7 @@ mod tests {
 
     #[test]
     fn small_segments_split_and_merge_back() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("split");
         let ds = sample_dataset();
         let report = dump_dataset_with(&dir, &ds, StoreConfig { segment_rows: 2 }).unwrap();
@@ -1616,6 +1622,7 @@ mod tests {
 
     #[test]
     fn open_is_identical_at_every_thread_count() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("threads");
         let ds = sample_dataset();
         dump_dataset_with(&dir, &ds, StoreConfig { segment_rows: 3 }).unwrap();
@@ -1628,6 +1635,7 @@ mod tests {
 
     #[test]
     fn column_scan_matches_record_walk() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("scan");
         let ds = sample_dataset();
         dump_dataset(&dir, &ds).unwrap();
@@ -1647,6 +1655,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected_with_its_region() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("bitflip");
         let mut w = SegmentWriter::create(&dir).unwrap();
         let rows: Vec<ServerUsageRecord> = (0..8)
@@ -1694,6 +1703,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_a_typed_error() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("torn");
         let mut w = SegmentWriter::create(&dir).unwrap();
         w.write_machines(&[(MachineId::new(1), MachineInfo::default())])
@@ -1774,6 +1784,7 @@ mod tests {
 
     #[test]
     fn wrong_family_scan_is_not_found() {
+        let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("family");
         let mut w = SegmentWriter::create(&dir).unwrap();
         w.write_machines(&[(MachineId::new(1), MachineInfo::default())])

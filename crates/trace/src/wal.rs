@@ -41,9 +41,11 @@
 //! [`WalStopReason`], and everything from the failure point on is reported
 //! as discarded ([`RecoveryReport::bytes_discarded`]).
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::{
@@ -330,32 +332,40 @@ impl<'a> Cursor<'a> {
 }
 
 impl WalRecord {
-    /// Encodes the record payload (tag byte + fixed-width body).
+    /// Encodes the record payload (tag byte + fixed-width body): the bytes
+    /// [`encode_frame_into`] puts after the frame header.
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut frame = encode_frame(0, self);
+        frame.drain(..FRAME_HEADER_BYTES);
+        frame
+    }
+
+    /// Appends the payload to `out`. Only [`encode_frame_into`] calls it,
+    /// so every encoded record goes through one frame encoder.
+    fn put_payload(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Usage(r) => {
                 out.push(TAG_USAGE);
-                put_i64(&mut out, r.time.seconds());
-                put_u32(&mut out, r.machine.raw());
-                put_f64(&mut out, r.util.cpu.fraction());
-                put_f64(&mut out, r.util.mem.fraction());
-                put_f64(&mut out, r.util.disk.fraction());
+                put_i64(out, r.time.seconds());
+                put_u32(out, r.machine.raw());
+                put_f64(out, r.util.cpu.fraction());
+                put_f64(out, r.util.mem.fraction());
+                put_f64(out, r.util.disk.fraction());
             }
             WalRecord::Instance(r) => {
                 out.push(TAG_INSTANCE);
-                put_i64(&mut out, r.start_time.seconds());
-                put_i64(&mut out, r.end_time.seconds());
-                put_u32(&mut out, r.job.raw());
-                put_u32(&mut out, r.task.raw());
-                put_u32(&mut out, r.seq);
-                put_u32(&mut out, r.total);
-                put_u32(&mut out, r.machine.raw());
+                put_i64(out, r.start_time.seconds());
+                put_i64(out, r.end_time.seconds());
+                put_u32(out, r.job.raw());
+                put_u32(out, r.task.raw());
+                put_u32(out, r.seq);
+                put_u32(out, r.total);
+                put_u32(out, r.machine.raw());
                 out.push(status_code(r.status));
-                put_f64(&mut out, r.cpu_avg);
-                put_f64(&mut out, r.cpu_max);
-                put_f64(&mut out, r.mem_avg);
-                put_f64(&mut out, r.mem_max);
+                put_f64(out, r.cpu_avg);
+                put_f64(out, r.cpu_max);
+                put_f64(out, r.mem_avg);
+                put_f64(out, r.mem_max);
             }
             WalRecord::InstanceStarted {
                 job,
@@ -365,35 +375,34 @@ impl WalRecord {
                 at,
             } => {
                 out.push(TAG_INSTANCE_STARTED);
-                put_u32(&mut out, job.raw());
-                put_u32(&mut out, task.raw());
-                put_u32(&mut out, *seq);
-                put_u32(&mut out, machine.raw());
-                put_i64(&mut out, at.seconds());
+                put_u32(out, job.raw());
+                put_u32(out, task.raw());
+                put_u32(out, *seq);
+                put_u32(out, machine.raw());
+                put_i64(out, at.seconds());
             }
             WalRecord::InstanceFinished { job, task, seq, at } => {
                 out.push(TAG_INSTANCE_FINISHED);
-                put_u32(&mut out, job.raw());
-                put_u32(&mut out, task.raw());
-                put_u32(&mut out, *seq);
-                put_i64(&mut out, at.seconds());
+                put_u32(out, job.raw());
+                put_u32(out, task.raw());
+                put_u32(out, *seq);
+                put_i64(out, at.seconds());
             }
             WalRecord::MachineEvent(r) => {
                 out.push(TAG_MACHINE_EVENT);
-                put_i64(&mut out, r.time.seconds());
-                put_u32(&mut out, r.machine.raw());
+                put_i64(out, r.time.seconds());
+                put_u32(out, r.machine.raw());
                 out.push(event_code(r.event));
-                put_f64(&mut out, r.capacity_cpu);
-                put_f64(&mut out, r.capacity_mem);
-                put_f64(&mut out, r.capacity_disk);
+                put_f64(out, r.capacity_cpu);
+                put_f64(out, r.capacity_mem);
+                put_f64(out, r.capacity_disk);
             }
             WalRecord::AlertsDrained => out.push(TAG_ALERTS_DRAINED),
             WalRecord::EpochSealed(version) => {
                 out.push(TAG_EPOCH_SEALED);
-                put_u64(&mut out, *version);
+                put_u64(out, *version);
             }
         }
-        out
     }
 
     /// Decodes a payload produced by [`WalRecord::encode_payload`].
@@ -451,20 +460,30 @@ impl WalRecord {
     }
 }
 
+/// Appends one complete frame (`header ‖ payload`) for `seq` to `out` —
+/// the log's one encoder. [`WalWriter`] encodes a whole group of frames
+/// into one reused buffer with it; [`encode_frame`],
+/// [`WalRecord::encode_payload`] and [`compact`] are built on it.
+pub fn encode_frame_into(out: &mut Vec<u8>, seq: u64, record: &WalRecord) {
+    let start = out.len();
+    let body = start + FRAME_HEADER_BYTES;
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    record.put_payload(out);
+    // Every payload is a tag plus a fixed-width body of at most 70 bytes.
+    let len = (out.len() - body) as u32;
+    debug_assert!(len <= MAX_PAYLOAD_BYTES);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 12].copy_from_slice(&seq.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&out[start..start + 12]);
+    crc.update(&out[body..]);
+    out[start + 12..body].copy_from_slice(&crc.finish().to_le_bytes());
+}
+
 /// Encodes one complete frame (`header ‖ payload`) for `seq`.
 pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let payload = record.encode_payload();
-    debug_assert!(payload.len() as u32 <= MAX_PAYLOAD_BYTES);
-    let len = payload.len() as u32;
-    let mut crc = Crc32::new();
-    crc.update(&len.to_le_bytes());
-    crc.update(&seq.to_le_bytes());
-    crc.update(&payload);
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 64);
+    encode_frame_into(&mut out, seq, record);
     out
 }
 
@@ -572,7 +591,9 @@ fn io_err(op: &'static str, path: &Path, source: io::Error) -> WalError {
 // IO seam
 // ---------------------------------------------------------------------------
 
-/// Failpoint site evaluated by [`StdWalIo`] before every frame write.
+/// Failpoint site evaluated by [`StdWalIo`] before every write. One write
+/// carries a whole group of frames (see [`WalIo::write_frame`]), so the
+/// site fires at most once per write, not once per record.
 pub const FAILPOINT_APPEND: &str = "wal.append";
 /// Failpoint site evaluated by [`StdWalIo`] before every fsync.
 pub const FAILPOINT_SYNC: &str = "wal.sync";
@@ -584,12 +605,17 @@ pub const FAILPOINT_SYNC: &str = "wal.sync";
 ///
 /// # Contract
 ///
+/// * One `write_frame` call carries a group of whole frames: every frame
+///   of one [`WalWriter::append_all`] call that lands in the same segment
+///   (one frame for [`WalWriter::append`]).
 /// * `write_frame` either writes **all** of `buf` and returns `Ok`, or
 ///   returns `Err` having written any *prefix* of `buf` (a short write —
 ///   the torn-tail shape a power failure leaves). The writer treats any
-///   `Err` as "this frame is not durable": the sequence number is not
-///   consumed and `segment_len` is not advanced, so the reader's framing
-///   validation is what quarantines whatever partial bytes made it to disk.
+///   `Err` as "these frames were not logged": their sequence numbers are
+///   not consumed and `segment_len` is not advanced. Whatever prefix
+///   reached the disk is left to the reader's framing validation: the
+///   whole frames inside it replay, and replay stops at the first torn
+///   one.
 /// * `sync_data` either makes previously written bytes durable and returns
 ///   `Ok`, or returns `Err` having synced nothing (a failed fsync — the
 ///   bytes remain in the page cache, durable against process crash but not
@@ -602,11 +628,12 @@ pub const FAILPOINT_SYNC: &str = "wal.sync";
 /// production writer. Disarmed, each evaluation is a single relaxed atomic
 /// load.
 pub trait WalIo: Send + fmt::Debug {
-    /// Writes one complete frame to `file` (see the seam contract).
+    /// Writes a group of complete frames to `file` (see the seam
+    /// contract).
     ///
     /// # Errors
     ///
-    /// An `Err` means the frame is not durable; any prefix of `buf` may
+    /// An `Err` means the frames were not logged; any prefix of `buf` may
     /// have reached the file.
     fn write_frame(&mut self, file: &mut File, buf: &[u8]) -> io::Result<()>;
 
@@ -853,8 +880,9 @@ pub struct WalConfig {
     /// A segment always holds at least one record, so tiny limits are legal
     /// (tests use them to force multi-segment logs).
     pub segment_bytes: u64,
-    /// `fsync` after **every** append instead of only at rotation and
-    /// [`WalWriter::sync`]. Survives power loss per record, at a large
+    /// `fsync` after **every** append — once per group for
+    /// [`WalWriter::append_all`] — instead of only at rotation and
+    /// [`WalWriter::sync`]. Survives power loss per append, at a large
     /// throughput cost.
     pub sync_each_append: bool,
 }
@@ -872,21 +900,24 @@ impl Default for WalConfig {
 ///
 /// # Durability contract
 ///
-/// * [`WalWriter::append`] hands the complete frame to the operating system
-///   in a single `write` before returning: once `append` returns, a **process
-///   crash** (panic, kill, OOM) loses nothing — the frame is in the page
-///   cache regardless of what the process does next.
+/// * [`WalWriter::append_all`] hands a group of frames to the operating
+///   system in one `write` per segment the group touches — a single
+///   `write` unless the group crosses a rotation — before returning;
+///   [`WalWriter::append`] is the one-frame group. Once an append returns,
+///   a **process crash** (panic, kill, OOM) loses nothing — the frames are
+///   in the page cache regardless of what the process does next.
 /// * An `fsync` makes frames survive **power loss / kernel crash** too. It
-///   happens (a) after every append when [`WalConfig::sync_each_append`] is
+///   happens (a) once per group when [`WalConfig::sync_each_append`] is
 ///   set, (b) on every segment rotation for the sealed segment, and (c) on
 ///   [`WalWriter::sync`]. Between fsyncs, a power failure may truncate or
 ///   tear the *tail* of the active segment only.
-/// * A torn tail is safe by construction: appends are strictly sequential,
-///   so a partial write can only affect the final frame, and the reader's
-///   length/CRC validation stops replay exactly at the last intact record.
-///   [`WalWriter::open`] on an existing directory truncates that torn tail
-///   (and deletes any unreachable later segments) before resuming, so the
-///   next append continues the intact prefix with the next sequence number.
+/// * A torn tail is safe by construction: writes are strictly sequential,
+///   so a partial write can only affect the frames of the final write, and
+///   the reader's length/CRC validation stops replay exactly at the last
+///   intact record. [`WalWriter::open`] on an existing directory truncates
+///   that torn tail (and deletes any unreachable later segments) before
+///   resuming, so the next append continues the intact prefix with the
+///   next sequence number.
 #[derive(Debug)]
 pub struct WalWriter {
     dir: PathBuf,
@@ -896,6 +927,9 @@ pub struct WalWriter {
     segment_len: u64,
     next_seq: u64,
     io: Box<dyn WalIo>,
+    /// The frames of the group being appended; reused across appends so
+    /// steady-state encoding allocates nothing.
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
@@ -960,6 +994,7 @@ impl WalWriter {
             segment_len: offset as u64,
             next_seq,
             io,
+            buf: Vec::new(),
         })
     }
 
@@ -984,6 +1019,7 @@ impl WalWriter {
             segment_len: 0,
             next_seq: first_seq,
             io,
+            buf: Vec::new(),
         })
     }
 
@@ -997,30 +1033,91 @@ impl WalWriter {
         self.next_seq
     }
 
-    /// Appends one record, returning its sequence number. See the
+    /// Appends one record — the one-record case of
+    /// [`WalWriter::append_all`] — returning its sequence number.
+    ///
+    /// # Errors
+    ///
+    /// As for [`WalWriter::append_all`].
+    pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
+        self.append_all(std::iter::once(record))
+            .map(|seqs| seqs.start)
+    }
+
+    /// Appends `records` as one group, returning the sequence numbers they
+    /// were assigned. The frames are encoded into one reused buffer and
+    /// handed to the OS in one `write` per segment the group touches. A
+    /// group rotates before exactly the frame where one-record appends
+    /// would, so the log's segment names and bytes do not depend on how
+    /// the records were grouped. See the
     /// [durability contract](WalWriter#durability-contract).
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] when the OS write (or configured fsync)
-    /// fails; the sequence number is not consumed in that case.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
-        let seq = self.next_seq;
-        let frame = encode_frame(seq, record);
-        if self.segment_len > 0 && self.segment_len + frame.len() as u64 > self.cfg.segment_bytes {
-            self.rotate(seq)?;
+    /// Returns [`WalError::Io`] when a write, a rotation or the configured
+    /// fsync fails.
+    /// * A failed write consumes no sequence numbers: its frames and every
+    ///   later frame of the group are not logged. Only a group that
+    ///   crosses a rotation can have an earlier write, which stays logged.
+    /// * A failed fsync comes after every write succeeded, so the group's
+    ///   sequence numbers are consumed and its frames replay; only their
+    ///   survival of a power loss is unknown.
+    pub fn append_all<I>(&mut self, records: I) -> Result<Range<u64>, WalError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<WalRecord>,
+    {
+        let first = self.next_seq;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        let mut end = first;
+        for record in records {
+            encode_frame_into(&mut buf, end, record.borrow());
+            end += 1;
+        }
+        let written = self.write_group(&buf, first);
+        self.buf = buf;
+        written?;
+        if self.cfg.sync_each_append && end > first {
+            self.sync()?;
+        }
+        Ok(first..end)
+    }
+
+    /// Writes the whole frames in `buf`, numbered from `first_seq`, with
+    /// one `write_frame` call per segment: it rotates before each frame
+    /// that would overflow the active segment, the rule a one-record
+    /// append applies. `next_seq` and `segment_len` advance after each
+    /// successful write, so a later failure leaves earlier writes counted.
+    fn write_group(&mut self, buf: &[u8], first_seq: u64) -> Result<(), WalError> {
+        let (mut start, mut pos, mut seq) = (0, 0, first_seq);
+        while pos < buf.len() {
+            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4-byte length"));
+            let frame = FRAME_HEADER_BYTES + len as usize;
+            let filled = self.segment_len + (pos - start) as u64;
+            if filled > 0 && filled + frame as u64 > self.cfg.segment_bytes {
+                self.write_chunk(&buf[start..pos], seq)?;
+                self.rotate(seq)?;
+                start = pos;
+            }
+            pos += frame;
+            seq += 1;
+        }
+        self.write_chunk(&buf[start..], seq)
+    }
+
+    /// Hands `chunk`, whole frames ending just before `end_seq`, to the
+    /// active segment in one write.
+    fn write_chunk(&mut self, chunk: &[u8], end_seq: u64) -> Result<(), WalError> {
+        if chunk.is_empty() {
+            return Ok(());
         }
         self.io
-            .write_frame(&mut self.file, &frame)
+            .write_frame(&mut self.file, chunk)
             .map_err(|e| io_err("append", &self.segment_path, e))?;
-        if self.cfg.sync_each_append {
-            self.io
-                .sync_data(&mut self.file)
-                .map_err(|e| io_err("sync", &self.segment_path, e))?;
-        }
-        self.segment_len += frame.len() as u64;
-        self.next_seq = seq + 1;
-        Ok(seq)
+        self.segment_len += chunk.len() as u64;
+        self.next_seq = end_seq;
+        Ok(())
     }
 
     fn rotate(&mut self, first_seq: u64) -> Result<(), WalError> {
@@ -1072,7 +1169,7 @@ pub fn compact(src: &Path, dst: &Path) -> Result<RecoveryReport, WalError> {
     let mut first_seq = None;
     for (seq, record) in &mut reader {
         first_seq.get_or_insert(seq);
-        frames.extend_from_slice(&encode_frame(seq, &record));
+        encode_frame_into(&mut frames, seq, &record);
     }
     fs::create_dir_all(dst).map_err(|e| io_err("create dir", dst, e))?;
     for (_, path) in list_segments(dst)? {
@@ -1199,6 +1296,9 @@ mod tests {
 
     #[test]
     fn write_read_round_trip_across_rotated_segments() {
+        // Every test that appends through the failpoint site holds the
+        // guard, so no other test's armed schedule fires on its writes.
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("rotate");
         let cfg = WalConfig {
             segment_bytes: 64, // force rotation every couple of records
@@ -1230,6 +1330,7 @@ mod tests {
 
     #[test]
     fn compact_merges_segments_preserving_sequences() {
+        let _g = batchlens_fault::test_guard();
         let src = temp_dir("compact-src");
         let dst = temp_dir("compact-dst");
         let cfg = WalConfig {
@@ -1276,6 +1377,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_detected_and_resume_truncates_it() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("torn");
         let records = sample_records();
         let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
@@ -1313,6 +1415,7 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("bitflip");
         let records = sample_records();
         let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
@@ -1348,6 +1451,7 @@ mod tests {
 
     #[test]
     fn resume_after_mid_log_corruption_drops_later_segments() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("midlog");
         let cfg = WalConfig {
             segment_bytes: 64,
@@ -1409,6 +1513,7 @@ mod tests {
 
     #[test]
     fn sequence_break_stops_replay() {
+        let _g = batchlens_fault::test_guard();
         let dir = temp_dir("seqbreak");
         let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
         w.append(&WalRecord::AlertsDrained).unwrap();
@@ -1578,10 +1683,12 @@ mod tests {
         );
         let err = w.append(&records[1]).expect_err("sync must fail");
         assert!(matches!(err, WalError::Io { op: "sync", .. }));
-        // Only the fsync failed — the frame bytes reached the file — but the
-        // error contract still holds: the seq is not consumed, so the caller
-        // retries and replay's sequence validation stops at the duplicate.
-        assert_eq!(w.next_seq(), 1);
+        // Only the fsync failed: the frame is in the file, so its sequence
+        // number is consumed and the next append cannot reuse it.
+        assert_eq!(w.next_seq(), 2);
+        for (i, rec) in records.iter().enumerate().skip(2) {
+            assert_eq!(w.append(rec).unwrap(), i as u64);
+        }
         batchlens_fault::disarm_all();
         // A standalone sync failure surfaces from sync() too.
         arm(
@@ -1591,7 +1698,256 @@ mod tests {
         assert!(w.sync().is_err());
         batchlens_fault::disarm_all();
         assert!(w.sync().is_ok());
+        drop(w);
+
+        // Every appended record replays, the one whose fsync failed
+        // included, and replay stops clean.
+        let mut r = WalReader::open(&dir).unwrap();
+        let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+        assert_eq!(got.len(), records.len());
+        for (i, ((seq, got), want)) in got.iter().zip(&records).enumerate() {
+            assert_eq!(*seq, i as u64);
+            assert_bits_equal(got, want);
+        }
+        let report = r.report();
+        assert!(report.reason.is_clean(), "{:?}", report.reason);
+        assert_eq!(report.bytes_discarded, 0);
+        // A resumed writer keeps all of it.
+        let w = WalWriter::open(&dir, cfg).unwrap();
+        assert_eq!(w.next_seq(), records.len() as u64);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Counts the writes and fsyncs a writer issues, then performs them.
+    #[derive(Debug, Clone, Default)]
+    struct CountingIo {
+        writes: std::sync::Arc<AtomicU64>,
+        syncs: std::sync::Arc<AtomicU64>,
+    }
+
+    impl WalIo for CountingIo {
+        fn write_frame(&mut self, file: &mut File, buf: &[u8]) -> io::Result<()> {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            file.write_all(buf)
+        }
+
+        fn sync_data(&mut self, file: &mut File) -> io::Result<()> {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            file.sync_data()
+        }
+    }
+
+    fn segment_contents(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+        list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(first, path)| (first, fs::read(path).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn group_appends_write_the_same_log_as_record_appends() {
+        let _g = batchlens_fault::test_guard();
+        let records: Vec<WalRecord> = (0..4).flat_map(|_| sample_records()).collect();
+        for segment_bytes in [64, 100, 333, WalConfig::default().segment_bytes] {
+            let cfg = WalConfig {
+                segment_bytes,
+                sync_each_append: false,
+            };
+            let singles = temp_dir("group-singles");
+            let mut w = WalWriter::open(&singles, cfg).unwrap();
+            for rec in &records {
+                w.append(rec).unwrap();
+            }
+            drop(w);
+            for group in [1, 3, 7, records.len()] {
+                let grouped = temp_dir("group-grouped");
+                let mut w = WalWriter::open(&grouped, cfg).unwrap();
+                for (i, chunk) in records.chunks(group).enumerate() {
+                    let first = (i * group) as u64;
+                    assert_eq!(
+                        w.append_all(chunk).unwrap(),
+                        first..first + chunk.len() as u64
+                    );
+                }
+                assert_eq!(w.append_all(&[] as &[WalRecord]).unwrap(), {
+                    let n = records.len() as u64;
+                    n..n
+                });
+                drop(w);
+                assert_eq!(
+                    segment_contents(&grouped),
+                    segment_contents(&singles),
+                    "segment_bytes {segment_bytes}, groups of {group}"
+                );
+                fs::remove_dir_all(&grouped).unwrap();
+            }
+            fs::remove_dir_all(&singles).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_group_is_one_write_per_segment_and_one_fsync() {
+        let records: Vec<WalRecord> = (0..4).flat_map(|_| sample_records()).collect();
+        // Without rotation: one write and, under sync_each_append, one
+        // fsync for the whole group; an empty group issues neither.
+        let dir = temp_dir("group-count");
+        let io = CountingIo::default();
+        let cfg = WalConfig {
+            segment_bytes: u64::MAX,
+            sync_each_append: true,
+        };
+        let mut w = WalWriter::open_with_io(&dir, cfg, Box::new(io.clone())).unwrap();
+        w.append_all(&records).unwrap();
+        w.append_all(&[] as &[WalRecord]).unwrap();
+        assert_eq!(io.writes.load(Ordering::Relaxed), 1);
+        assert_eq!(io.syncs.load(Ordering::Relaxed), 1);
+        drop(w);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // Across rotations: one write per segment the group touches, and
+        // one fsync per sealed segment.
+        let dir = temp_dir("group-count-rotate");
+        let io = CountingIo::default();
+        let cfg = WalConfig {
+            segment_bytes: 256,
+            sync_each_append: false,
+        };
+        let mut w = WalWriter::open_with_io(&dir, cfg, Box::new(io.clone())).unwrap();
+        w.append_all(&records).unwrap();
+        drop(w);
+        let segments = list_segments(&dir).unwrap().len() as u64;
+        assert!(segments > 2, "the group must cross rotations");
+        assert_eq!(io.writes.load(Ordering::Relaxed), segments);
+        assert_eq!(io.syncs.load(Ordering::Relaxed), segments - 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_group_write_consumes_no_sequence_numbers() {
+        let _g = batchlens_fault::test_guard();
+        let dir = temp_dir("fp-group-err");
+        let records = sample_records();
+        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        w.append_all(&records[..2]).unwrap();
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(Fault::Error, Trigger::Nth(0)),
+        );
+        let err = w.append_all(&records[2..5]).expect_err("armed write fails");
+        assert!(matches!(err, WalError::Io { op: "append", .. }));
+        assert_eq!(w.next_seq(), 2, "a failed group consumes nothing");
+        batchlens_fault::disarm_all();
+        assert_eq!(w.append_all(&records[5..]).unwrap(), 2..5);
+        drop(w);
+        let mut r = WalReader::open(&dir).unwrap();
+        let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+        let want: Vec<&WalRecord> = records[..2].iter().chain(&records[5..]).collect();
+        assert_eq!(got.len(), want.len());
+        for (i, ((seq, got), want)) in got.iter().zip(want).enumerate() {
+            assert_eq!(*seq, i as u64);
+            assert_bits_equal(got, want);
+        }
+        assert!(r.report().reason.is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_write_failing_after_a_rotation_keeps_the_sealed_segment() {
+        let _g = batchlens_fault::test_guard();
+        let cfg = WalConfig {
+            segment_bytes: 200,
+            sync_each_append: false,
+        };
+        let records: Vec<WalRecord> = (0..2).flat_map(|_| sample_records()).collect();
+        // The frames one-record appends put in the first segment.
+        let mut sealed = 0;
+        let mut filled = 0;
+        for rec in &records {
+            let len = encode_frame(0, rec).len();
+            if filled > 0 && filled + len > cfg.segment_bytes as usize {
+                break;
+            }
+            filled += len;
+            sealed += 1;
+        }
+        assert!(sealed < records.len());
+
+        let dir = temp_dir("fp-group-rotate");
+        let mut w = WalWriter::open(&dir, cfg).unwrap();
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(Fault::Error, Trigger::Nth(1)),
+        );
+        let err = w.append_all(&records).expect_err("second write fails");
+        batchlens_fault::disarm_all();
+        assert!(matches!(err, WalError::Io { op: "append", .. }));
+        // The first write went through before the rotation: its frames
+        // keep their sequence numbers; the failed write's frames do not.
+        assert_eq!(w.next_seq(), sealed as u64);
+        let first = sealed as u64;
+        assert_eq!(
+            w.append_all(&records[sealed..]).unwrap(),
+            first..records.len() as u64
+        );
+        drop(w);
+
+        // Retrying the rest leaves the log a clean one-record log would.
+        let singles = temp_dir("fp-group-rotate-singles");
+        let mut w = WalWriter::open(&singles, cfg).unwrap();
+        for rec in &records {
+            w.append(rec).unwrap();
+        }
+        drop(w);
+        assert_eq!(segment_contents(&dir), segment_contents(&singles));
+        fs::remove_dir_all(&dir).unwrap();
+        fs::remove_dir_all(&singles).unwrap();
+    }
+
+    #[test]
+    fn torn_group_write_keeps_exactly_its_whole_frames() {
+        let _g = batchlens_fault::test_guard();
+        let records = sample_records();
+        let (head, group) = records.split_first().unwrap();
+        // Byte offsets, inside the group's write, at which each frame ends.
+        let mut ends = Vec::new();
+        let mut encoded = Vec::new();
+        for (i, rec) in group.iter().enumerate() {
+            encode_frame_into(&mut encoded, 1 + i as u64, rec);
+            ends.push(encoded.len());
+        }
+        for torn in 0..=encoded.len() {
+            let dir = temp_dir("fp-group-torn");
+            let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+            w.append(head).unwrap();
+            arm(
+                FAILPOINT_APPEND,
+                FaultSpec::new(Fault::ShortWrite(torn), Trigger::Nth(0)),
+            );
+            w.append_all(group).expect_err("torn write fails");
+            batchlens_fault::disarm_all();
+            assert_eq!(w.next_seq(), 1, "a torn group consumes nothing");
+            drop(w);
+
+            let whole = ends.iter().take_while(|&&end| end <= torn).count();
+            let mut r = WalReader::open(&dir).unwrap();
+            let got: Vec<(u64, WalRecord)> = (&mut r).collect();
+            assert_eq!(got.len(), 1 + whole, "torn after {torn} bytes");
+            for ((_, got), want) in got.iter().zip(&records) {
+                assert_bits_equal(got, want);
+            }
+            let at_boundary = torn == 0 || ends.contains(&torn);
+            assert_eq!(r.report().reason.is_clean(), at_boundary);
+            // A resumed writer truncates the torn frame and continues.
+            let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+            assert_eq!(w.next_seq(), 1 + whole as u64);
+            w.append(head).unwrap();
+            drop(w);
+            let mut r = WalReader::open(&dir).unwrap();
+            assert_eq!((&mut r).count(), 2 + whole);
+            assert!(r.report().reason.is_clean());
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! (values and sequence numbers), every counter, `state_version` (the
 //! version advances per *accepted record*, never per batch — batching
 //! amortizes the lock, not the version), the retained windows, and the
-//! WAL: replaying a batch-logged monitor reproduces the same state plus
-//! the sealed-epoch frontier.
+//! WAL: a batch-logged WAL (one group write per epoch) is byte-identical to
+//! a record-logged one that seals each epoch, and replaying it reproduces
+//! the same state plus the sealed-epoch frontier.
 //!
 //! CI runs this suite at 512 cases in the deep-properties job.
 
+use std::path::{Path, PathBuf};
+
 use batchlens::stream::{BatchSequencer, StreamConfig, StreamMonitor};
+use batchlens::trace::wal::{WalConfig, WalWriter};
 use batchlens::trace::{
     DatasetQuery, MachineId, Metric, ServerUsageRecord, TimeDelta, TimeRange, Timestamp,
     UtilizationTriple,
@@ -85,6 +89,88 @@ fn assert_equal_state(
     Ok(())
 }
 
+/// A process-unique, empty scratch directory.
+fn scratch_dir(tag: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static DIR_ID: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "batchlens-batch-equiv-{tag}-{}-{}",
+        std::process::id(),
+        DIR_ID.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Every segment of the log in `dir`: `(file name, bytes)`, in name order.
+fn segments(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Logs the deliveries twice — epoch by epoch through `ingest_batch`, and
+/// record by record with a `seal_epoch` after each epoch — and checks that
+/// the two logs are byte-identical and replay to both live monitors.
+fn batch_logged_wal_matches_record_logged(
+    deliveries: &[ServerUsageRecord],
+    chunk: usize,
+    wal_cfg: WalConfig,
+) -> Result<(), TestCaseError> {
+    let batched_dir = scratch_dir("batched");
+    let serial_dir = scratch_dir("serial");
+    let sequencer = BatchSequencer::new();
+    let batched = StreamMonitor::new(cfg()).unwrap();
+    batched.attach_wal(WalWriter::open(&batched_dir, wal_cfg).unwrap());
+    let serial = StreamMonitor::new(cfg()).unwrap();
+    serial.attach_wal(WalWriter::open(&serial_dir, wal_cfg).unwrap());
+    let mut last_version = None;
+    for part in deliveries.chunks(chunk) {
+        let batch = sequencer.seal(
+            part.last().map_or(Timestamp::new(0), |r| r.time),
+            part.to_vec(),
+        );
+        batched.ingest_batch(&batch);
+        for &rec in part {
+            serial.ingest(rec);
+        }
+        serial.seal_epoch(batch.version);
+        last_version = Some(batch.version);
+    }
+    prop_assert_eq!(batched.wal_errors(), 0);
+    prop_assert_eq!(serial.wal_errors(), 0);
+    drop(batched.detach_wal());
+    drop(serial.detach_wal());
+
+    let logged = segments(&batched_dir);
+    prop_assert!(
+        logged == segments(&serial_dir),
+        "group-logged and record-logged segments differ ({:?})",
+        wal_cfg
+    );
+    if wal_cfg.segment_bytes < 256 && deliveries.len() >= 4 {
+        prop_assert!(logged.len() > 1, "a tiny segment limit must rotate");
+    }
+
+    let (recovered, report) = StreamMonitor::recover(&batched_dir, cfg()).unwrap();
+    prop_assert!(report.reason.is_clean(), "{:?}", report.reason);
+    prop_assert_eq!(recovered.sealed_epoch(), last_version);
+    prop_assert_eq!(serial.sealed_epoch(), last_version);
+    assert_equal_state(&recovered, &batched)?;
+    assert_equal_state(&recovered, &serial)?;
+    std::fs::remove_dir_all(&batched_dir).ok();
+    std::fs::remove_dir_all(&serial_dir).ok();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -126,47 +212,20 @@ proptest! {
         }
     }
 
-    /// WAL replay of a batch-logged monitor is bit-identical to the
-    /// pre-crash monitor *and* to a serial never-crashed monitor —
-    /// `EpochSealed` markers replay as state no-ops, restoring only the
-    /// sealed-epoch frontier.
+    /// A batch-logged WAL holds exactly the bytes of a record-logged one
+    /// that seals each epoch, with one segment or with groups crossing
+    /// rotations, and its replay is bit-identical to the pre-crash monitor
+    /// *and* to the record-at-a-time monitor — `EpochSealed` markers replay
+    /// as state no-ops, restoring only the sealed-epoch frontier.
     #[test]
     fn batch_logged_wal_replays_bit_identically(input in deliveries_strategy()) {
         let (deliveries, chunk) = input;
-        use batchlens::trace::wal::{WalConfig, WalWriter};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static DIR_ID: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "batchlens-batch-equiv-{}-{}",
-            std::process::id(),
-            DIR_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let sequencer = BatchSequencer::new();
-        let batched = StreamMonitor::new(cfg()).unwrap();
-        batched.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
-        let serial = StreamMonitor::new(cfg()).unwrap();
-        let mut last_version = None;
-        for part in deliveries.chunks(chunk) {
-            let batch = sequencer.seal(
-                part.last().map_or(Timestamp::new(0), |r| r.time),
-                part.to_vec(),
-            );
-            batched.ingest_batch(&batch);
-            for &rec in part {
-                serial.ingest(rec);
-            }
-            last_version = Some(batch.version);
+        let tiny = WalConfig {
+            segment_bytes: 200,
+            sync_each_append: false,
+        };
+        for wal_cfg in [WalConfig::default(), tiny] {
+            batch_logged_wal_matches_record_logged(&deliveries, chunk, wal_cfg)?;
         }
-        prop_assert_eq!(batched.wal_errors(), 0);
-        drop(batched.detach_wal());
-
-        let (recovered, report) = StreamMonitor::recover(&dir, cfg()).unwrap();
-        prop_assert!(report.reason.is_clean(), "{:?}", report.reason);
-        prop_assert_eq!(recovered.sealed_epoch(), last_version);
-        assert_equal_state(&recovered, &batched)?;
-        assert_equal_state(&recovered, &serial)?;
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -30,8 +30,8 @@ use std::time::Duration;
 
 use batchlens::analytics::baseline::export_usage_records;
 use batchlens::sim::scenario;
-use batchlens::stream::{StreamConfig, StreamMonitor};
-use batchlens::trace::wal::{WalConfig, WalWriter, FAILPOINT_APPEND};
+use batchlens::stream::{Batch, BatchSequencer, StreamConfig, StreamMonitor};
+use batchlens::trace::wal::{self, WalConfig, WalReader, WalRecord, WalWriter, FAILPOINT_APPEND};
 use batchlens::trace::{
     BatchInstanceRecord, DatasetQuery, JobId, MachineId, Metric, ServerUsageRecord, TaskId,
     TaskStatus, TimeDelta, TimeRange, Timestamp, UtilizationTriple,
@@ -56,12 +56,15 @@ enum Delivery {
     Usage(ServerUsageRecord),
     Instance(BatchInstanceRecord),
     Drain,
+    /// A sealed epoch through `ingest_batch`: one group write.
+    Epoch(Batch),
 }
 
 /// Applies one delivery and returns how many WAL appends it attempts.
 /// Usage and instance records always log; a drain logs only when it
 /// actually drains something — an empty drain mutates nothing and (since
 /// the empty-drain fix) appends nothing, so it contributes no log record.
+/// An epoch logs its records and its seal as one group append.
 fn apply(monitor: &StreamMonitor, d: &Delivery) -> usize {
     match d {
         Delivery::Usage(r) => {
@@ -73,7 +76,36 @@ fn apply(monitor: &StreamMonitor, d: &Delivery) -> usize {
             1
         }
         Delivery::Drain => usize::from(!monitor.drain_alerts().is_empty()),
+        Delivery::Epoch(batch) => {
+            monitor.ingest_batch(batch);
+            1
+        }
     }
+}
+
+/// The log records a logged delivery appends, in log order.
+fn log_records(d: &Delivery) -> Vec<WalRecord> {
+    match d {
+        Delivery::Usage(r) => vec![WalRecord::Usage(*r)],
+        Delivery::Instance(r) => vec![WalRecord::Instance(*r)],
+        Delivery::Drain => vec![WalRecord::AlertsDrained],
+        Delivery::Epoch(batch) => batch
+            .records
+            .iter()
+            .map(|&r| WalRecord::Usage(r))
+            .chain([WalRecord::EpochSealed(batch.version)])
+            .collect(),
+    }
+}
+
+/// A reference fed exactly `records` through the replay surface — the
+/// oracle for a log whose replay may stop inside an epoch's group.
+fn reference_from_records(records: &[WalRecord]) -> StreamMonitor {
+    let monitor = StreamMonitor::new(stream_config()).unwrap();
+    for rec in records {
+        monitor.apply_replayed(rec.clone());
+    }
+    monitor
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -117,6 +149,46 @@ fn gen_deliveries(seed: u64, n: usize) -> Vec<Delivery> {
             }
         })
         .collect()
+}
+
+/// The same delivery soup with its usage samples sealed into epochs of
+/// 1–12 records by one sequencer; instance records and drains stay
+/// one-record calls between the epochs, as structural deliveries do in
+/// live ingest.
+fn gen_epoch_deliveries(seed: u64, n: usize) -> Vec<Delivery> {
+    fn seal(
+        sequencer: &BatchSequencer,
+        open: &mut Vec<ServerUsageRecord>,
+        out: &mut Vec<Delivery>,
+    ) {
+        if let Some(last) = open.last() {
+            out.push(Delivery::Epoch(
+                sequencer.seal(last.time, std::mem::take(open)),
+            ));
+        }
+    }
+    let sequencer = BatchSequencer::new();
+    let mut s = seed ^ 0xE90C_4A11;
+    let mut width = 1 + (splitmix(&mut s) % 12) as usize;
+    let mut open = Vec::new();
+    let mut out = Vec::new();
+    for d in gen_deliveries(seed, n) {
+        match d {
+            Delivery::Usage(r) => {
+                open.push(r);
+                if open.len() == width {
+                    seal(&sequencer, &mut open, &mut out);
+                    width = 1 + (splitmix(&mut s) % 12) as usize;
+                }
+            }
+            other => {
+                seal(&sequencer, &mut open, &mut out);
+                out.push(other);
+            }
+        }
+    }
+    seal(&sequencer, &mut open, &mut out);
+    out
 }
 
 fn stream_config() -> StreamConfig {
@@ -345,6 +417,170 @@ fn torn_writes_recover_to_the_surviving_prefix_and_resume() {
     }
 }
 
+/// The disk-error storm over epoch ingest: usage samples arrive as sealed
+/// epochs through `ingest_batch`, and each epoch is one group write. So
+/// each fired fault adds exactly one to `wal_errors` and leaves its whole
+/// epoch — records and seal — out of the log, while the live monitor still
+/// applies it; recovery equals a reference fed only the surviving
+/// deliveries.
+#[test]
+fn wal_disk_error_storms_over_epochs_recover_bit_identical() {
+    let _guard = batchlens_fault::test_guard();
+    let fired = || batchlens_fault::site_stats(FAILPOINT_APPEND).map_or(0, |s| s.fired);
+    let (mut total_fired, mut failed_epochs) = (0u64, 0usize);
+    for seed in 0..4u64 {
+        let dir = scratch_dir("disk-epochs");
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(
+                Fault::Error,
+                Trigger::Prob {
+                    seed: seed.wrapping_mul(0x9E37_79B9).wrapping_add(11),
+                    fire_per_1024: 256,
+                },
+            ),
+        );
+        let monitor = StreamMonitor::new(stream_config()).unwrap();
+        // One segment, so every delivery — epoch or record — is one write.
+        monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+        let deliveries = gen_epoch_deliveries(seed, 400);
+        let mut survived = Vec::new();
+        for d in &deliveries {
+            let (fired_before, errors_before) = (fired(), monitor.wal_errors());
+            let appends = apply(&monitor, d);
+            let fired_now = fired() - fired_before;
+            assert!(fired_now <= 1, "a delivery is at most one write");
+            assert_eq!(
+                monitor.wal_errors() - errors_before,
+                fired_now,
+                "each fired fault counts exactly once (seed {seed})"
+            );
+            if fired_now == 0 && appends > 0 {
+                survived.push(d.clone());
+            } else if matches!(d, Delivery::Epoch(_)) {
+                failed_epochs += 1;
+            }
+        }
+        drop(monitor.detach_wal());
+        let stats = disarm(FAILPOINT_APPEND).expect("site was armed");
+        assert!(stats.fired > 0, "seed {seed} injected no faults");
+        assert_eq!(monitor.wal_errors(), stats.fired);
+        total_fired += stats.fired;
+
+        // The log holds the surviving deliveries' records and nothing else:
+        // no frame of a failed epoch, not even its seal.
+        let logged: Vec<WalRecord> = WalReader::open(&dir).unwrap().map(|(_, r)| r).collect();
+        let expected: Vec<WalRecord> = survived.iter().flat_map(log_records).collect();
+        assert!(
+            logged == expected,
+            "the log holds exactly the surviving deliveries (seed {seed})"
+        );
+
+        let (rec_a, rep_a) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+        let (rec_b, _) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+        assert!(rep_a.reason.is_clean(), "failed group writes write nothing");
+        let reference = reference(&survived);
+        assert_same_monitor(&rec_a, &reference, &format!("seed {seed} vs reference"));
+        assert_same_monitor(&rec_a, &rec_b, &format!("seed {seed} determinism"));
+        assert_eq!(rec_a.sealed_epoch(), reference.sealed_epoch());
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(
+        total_fired >= 100,
+        "the storm must inject at least 100 faults, got {total_fired}"
+    );
+    assert!(failed_epochs > 0, "the storm must fail some epochs");
+}
+
+/// A torn write inside an epoch's group: `ShortWrite(n)` leaves exactly the
+/// whole frames in the group's first `n` bytes replayable. Later writes
+/// land behind the torn frame, out of replay's reach. A resumed writer
+/// truncates the wreckage, and re-delivering the rest of the epoch and
+/// everything after it converges on the never-crashed reference.
+#[test]
+fn torn_epoch_writes_keep_their_whole_frames_and_resume() {
+    let _guard = batchlens_fault::test_guard();
+    let deliveries = gen_epoch_deliveries(23, 160);
+    let (tear_idx, batch) = deliveries
+        .iter()
+        .enumerate()
+        .skip(3)
+        .find_map(|(i, d)| match d {
+            Delivery::Epoch(b) if b.records.len() >= 4 => Some((i, b.clone())),
+            _ => None,
+        })
+        .expect("an epoch of at least four records");
+    let group = log_records(&deliveries[tear_idx]);
+    let frame_ends: Vec<usize> = group
+        .iter()
+        .scan(0, |end, rec| {
+            *end += wal::encode_frame(0, rec).len();
+            Some(*end)
+        })
+        .collect();
+    // Inside the first header, inside the third frame, and exactly at the
+    // end of the third frame.
+    for torn in [7, frame_ends[1] + 20, frame_ends[2]] {
+        let dir = scratch_dir("tear-epoch");
+        let monitor = StreamMonitor::new(stream_config()).unwrap();
+        monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+        let mut logged = Vec::new();
+        for d in &deliveries[..tear_idx] {
+            if apply(&monitor, d) > 0 {
+                logged.extend(log_records(d));
+            }
+        }
+        arm(
+            FAILPOINT_APPEND,
+            FaultSpec::new(Fault::ShortWrite(torn), Trigger::Nth(0)),
+        );
+        apply(&monitor, &deliveries[tear_idx]);
+        let stats = disarm(FAILPOINT_APPEND).expect("site was armed");
+        assert_eq!(stats.fired, 1, "the epoch is one group write");
+        for d in &deliveries[tear_idx + 1..] {
+            apply(&monitor, d);
+        }
+        drop(monitor.detach_wal());
+        assert_eq!(monitor.wal_errors(), 1);
+
+        let whole = frame_ends.iter().take_while(|&&end| end <= torn).count();
+        logged.extend_from_slice(&group[..whole]);
+        let (recovered, report) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+        assert!(
+            !report.reason.is_clean(),
+            "the torn frame stops replay (torn after {torn} bytes)"
+        );
+        assert_eq!(
+            report.records_replayed as usize,
+            logged.len(),
+            "replay is the prefix plus the epoch's {whole} whole frames"
+        );
+        let prefix = reference_from_records(&logged);
+        assert_same_monitor(&recovered, &prefix, &format!("torn after {torn} bytes"));
+        assert_eq!(recovered.sealed_epoch(), prefix.sealed_epoch());
+
+        recovered.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+        let rest = Batch {
+            records: batch.records[whole..].to_vec(),
+            ..batch.clone()
+        };
+        apply(&recovered, &Delivery::Epoch(rest));
+        for d in &deliveries[tear_idx + 1..] {
+            apply(&recovered, d);
+        }
+        drop(recovered.detach_wal());
+        assert_eq!(recovered.wal_errors(), 0, "resumed logging is clean");
+        let never_crashed = reference(&deliveries);
+        let ctx = format!("resume after tearing {torn} bytes");
+        assert_same_monitor(&recovered, &never_crashed, &ctx);
+        let (rebuilt, report) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+        assert!(report.reason.is_clean(), "resumed log replays clean");
+        assert_same_monitor(&rebuilt, &never_crashed, &ctx);
+        assert_eq!(rebuilt.sealed_epoch(), never_crashed.sealed_epoch());
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 /// The CI fault-schedule matrix hook: arms whatever `BATCHLENS_FAILPOINTS`
 /// specifies (e.g. `wal.append=error@every:3`) and proves the generic WAL
 /// contract under it — every injected IO error is accounted in
@@ -407,6 +643,62 @@ fn env_armed_wal_schedule_holds_invariants() {
             &reference(&survived[..replayed]),
             "env schedule vs surviving prefix",
         );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// [`env_armed_wal_schedule_holds_invariants`] over epoch ingest: the same
+/// env-armed schedule, with the usage samples sealed into epochs through
+/// `ingest_batch`, so the faults land on group writes as well as on
+/// structural one-record writes. The log is one segment, so each delivery
+/// is one write. Replay counts records, not deliveries, so the reference
+/// is fed the replayed prefix of the surviving deliveries' log records.
+/// Like its sibling, it assumes a torn write leaves no whole frame behind,
+/// as the matrix's `short_write:9` does.
+#[test]
+fn env_armed_wal_schedule_over_epochs_holds_invariants() {
+    use batchlens::trace::wal::FAILPOINT_SYNC;
+
+    let _guard = batchlens_fault::test_guard();
+    let armed = batchlens_fault::arm_from_env();
+    let dir = scratch_dir("env-epochs");
+    let monitor = StreamMonitor::new(stream_config()).unwrap();
+    monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+    let deliveries = gen_epoch_deliveries(9, 300);
+    let mut survived = Vec::new();
+    for d in &deliveries {
+        let before = monitor.wal_errors();
+        let appends = apply(&monitor, d);
+        if appends > 0 && monitor.wal_errors() == before {
+            survived.extend(log_records(d));
+        }
+    }
+    drop(monitor.detach_wal());
+    let append_fired = batchlens_fault::site_stats(FAILPOINT_APPEND).map_or(0, |s| s.fired);
+    let sync_fired = batchlens_fault::site_stats(FAILPOINT_SYNC).map_or(0, |s| s.fired);
+    assert!(
+        monitor.wal_errors() <= append_fired + sync_fired,
+        "WAL errors only come from injected faults ({} errors, {} fired)",
+        monitor.wal_errors(),
+        append_fired + sync_fired
+    );
+    if armed == 0 {
+        assert_eq!(monitor.wal_errors(), 0, "disarmed runs log cleanly");
+    }
+
+    let (rec_a, rep_a) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+    let (rec_b, rep_b) = StreamMonitor::recover(&dir, stream_config()).unwrap();
+    assert_eq!(rep_a.records_replayed, rep_b.records_replayed);
+    assert_same_monitor(&rec_a, &rec_b, "env schedule over epochs determinism");
+    if sync_fired == 0 {
+        let replayed = rep_a.records_replayed as usize;
+        assert!(replayed <= survived.len(), "replay never invents records");
+        if rep_a.reason.is_clean() {
+            assert_eq!(replayed, survived.len(), "a clean replay is maximal");
+        }
+        let reference = reference_from_records(&survived[..replayed]);
+        assert_same_monitor(&rec_a, &reference, "env schedule over epochs vs prefix");
+        assert_eq!(rec_a.sealed_epoch(), reference.sealed_epoch());
     }
     let _ = fs::remove_dir_all(&dir);
 }
