@@ -714,21 +714,14 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     entries.push(entry(format!("segment_scan_{suffix}"), naive_s, optimized));
     let _ = std::fs::remove_dir_all(&seg_dir);
 
-    // --- epoch-batched sharded ingestion vs record-at-a-time ingestion:
-    //     "naive" feeds the time-sorted usage archive one `ingest` call
-    //     (one lock acquisition) per record into a single monitor;
-    //     "optimized" partitions the same feed into sealed epochs and fans
-    //     each epoch across a 4-shard ShardedMonitor — one lock
-    //     acquisition per shard per epoch. Both land in bit-identical
-    //     query state (the sharded_differential suite proves it). The
-    //     stdout line also reports the middle point (epoch-batched on a
-    //     single monitor: pure lock amortization, host-independent win).
-    //     Honesty caveat: on a single-core host (like the CI container)
-    //     the sharded column pays pool-dispatch overhead with no
-    //     parallelism to offset it and can read *below* 1x; the --check
-    //     guard only flags growth of the sharded path, which is exactly
-    //     the regression we want caught. ---
-    use batchlens::shard::ShardedMonitor;
+    // --- epoch-batched ingestion vs record-at-a-time ingestion, both
+    //     into one unlogged monitor: "naive" feeds the time-sorted usage
+    //     archive one `ingest` call (one lock acquisition) per record;
+    //     "optimized" seals the same feed into EPOCH_RECORDS-record epochs
+    //     and applies each with one `ingest_batch` call (one lock
+    //     acquisition per epoch). Both land in bit-identical state (the
+    //     batched_ingest_equivalence suite proves it), so the ratio is
+    //     the lock amortization alone. ---
     use batchlens::stream::BatchSequencer;
     const EPOCH_RECORDS: usize = 512;
     let ingest_reps = if tier == Tier::Paper { 2 } else { 3 };
@@ -739,7 +732,7 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         }
         monitor.ingested() as usize
     });
-    let serial_batched_t = measure(ingest_reps, || {
+    let batched_t = measure(ingest_reps, || {
         let monitor = StreamMonitor::new(stream_cfg).unwrap();
         let sequencer = BatchSequencer::new();
         for part in feed.chunks(EPOCH_RECORDS) {
@@ -751,29 +744,12 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         }
         monitor.ingested() as usize
     });
-    let batched_t = measure(ingest_reps, || {
-        let sharded = ShardedMonitor::new(stream_cfg, 4)
-            .unwrap()
-            .with_threads(PAR_THREADS);
-        let sequencer = BatchSequencer::new();
-        for part in feed.chunks(EPOCH_RECORDS) {
-            let batch = sequencer.seal(
-                part.last().map_or(Timestamp::new(0), |r| r.time),
-                part.to_vec(),
-            );
-            sharded.ingest_batch(&batch);
-        }
-        sharded.ingested() as usize
-    });
     let rps = |t: &Stats| feed.len() as f64 / (t.min_ns / 1e9);
     println!(
-        "ingest_throughput_{suffix}: {} records; record-at-a-time serial \
-         {:.0} rec/s, epoch-batched serial {:.0} rec/s, epoch-batched \
-         4-shard {:.0} rec/s (single-core hosts pay fan-out overhead with \
-         no parallelism to offset it)",
+        "ingest_throughput_{suffix}: {} records; record-at-a-time {:.0} rec/s, \
+         epoch-batched ({EPOCH_RECORDS}-record epochs) {:.0} rec/s",
         feed.len(),
         rps(&serial_t),
-        rps(&serial_batched_t),
         rps(&batched_t),
     );
     entries.push(entry(

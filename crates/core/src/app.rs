@@ -21,7 +21,6 @@ use parking_lot::Mutex;
 
 use crate::interaction::{reduce, Event};
 use crate::session::SessionLog;
-use crate::shard::ShardedMonitor;
 use crate::stream::StreamMonitor;
 use crate::view::ViewState;
 
@@ -112,72 +111,9 @@ pub struct BatchLens {
     /// mutability so the read-only accessors stay `&self`).
     cache: Mutex<SnapshotCache>,
     /// When attached, the lens is **live-backed**: snapshots and
-    /// co-allocation are computed from this source's rolling window
+    /// co-allocation are computed from this monitor's rolling window
     /// instead of the batch dataset.
-    live: Option<LiveSource>,
-}
-
-/// The live snapshot source behind a lens: one [`StreamMonitor`], or a
-/// [`ShardedMonitor`] facade merging several. Both answer the same
-/// [`batchlens_trace::DatasetQuery`] surface and the same alert-cursor
-/// surface ([`crate::stream::AlertSource`]), so every lens consumer —
-/// snapshots, frames, serving-layer sessions — works identically against
-/// either.
-#[derive(Debug, Clone)]
-pub enum LiveSource {
-    /// A single online monitor.
-    Single(Arc<StreamMonitor>),
-    /// A machine-id-hash sharded facade.
-    Sharded(Arc<ShardedMonitor>),
-}
-
-impl LiveSource {
-    /// The source's state version (summed across shards when sharded).
-    pub fn state_version(&self) -> u64 {
-        use batchlens_trace::DatasetQuery;
-        match self {
-            LiveSource::Single(m) => m.state_version(),
-            LiveSource::Sharded(s) => s.state_version(),
-        }
-    }
-
-    /// The alert-cursor surface of the source.
-    pub fn alert_source(&self) -> &dyn crate::stream::AlertSource {
-        match self {
-            LiveSource::Single(m) => m.as_ref(),
-            LiveSource::Sharded(s) => s.as_ref(),
-        }
-    }
-
-    /// Whether the source's durability layer is trustworthy right now:
-    /// [`StreamMonitor::wal_healthy`] for a single monitor, **every**
-    /// shard healthy for a sharded one.
-    pub fn wal_healthy(&self) -> bool {
-        match self {
-            LiveSource::Single(m) => m.wal_healthy(),
-            LiveSource::Sharded(s) => s.wal_healthy(),
-        }
-    }
-
-    /// Failed WAL appends/syncs per shard, ascending by shard index (one
-    /// entry for a single monitor). Empty only when the source vanished —
-    /// readiness probes treat any non-zero entry as degraded.
-    pub fn shard_wal_errors(&self) -> Vec<u64> {
-        match self {
-            LiveSource::Single(m) => vec![m.wal_errors()],
-            LiveSource::Sharded(s) => s.shard_wal_errors(),
-        }
-    }
-
-    /// Per-shard ingested-record counts (one entry for a single monitor).
-    pub fn shard_ingested(&self) -> Vec<u64> {
-        match self {
-            LiveSource::Single(m) => vec![m.ingested()],
-            LiveSource::Sharded(s) => (0..s.shard_count())
-                .map(|i| s.shard(i).ingested())
-                .collect(),
-        }
-    }
+    live: Option<Arc<StreamMonitor>>,
 }
 
 impl Clone for BatchLens {
@@ -246,40 +182,16 @@ impl BatchLens {
     /// — so each cached product is a transactionally consistent capture of
     /// one window state.
     pub fn attach_live_monitor(&mut self, monitor: Arc<StreamMonitor>) {
-        self.live = Some(LiveSource::Single(monitor));
+        self.live = Some(monitor);
         self.reset_snapshot_state();
     }
 
-    /// Switches the lens into live mode over a [`ShardedMonitor`] facade:
-    /// identical to [`BatchLens::attach_live_monitor`], except snapshots,
-    /// frames and alert cursors answer from the merged shard state (frames
-    /// via the facade's one-version-cut capture).
-    pub fn attach_sharded_monitor(&mut self, monitor: Arc<ShardedMonitor>) {
-        self.live = Some(LiveSource::Sharded(monitor));
-        self.reset_snapshot_state();
-    }
-
-    /// Leaves live mode, returning to batch-backed snapshots. The monitor
-    /// (if any, and unsharded) is returned to the caller.
+    /// Leaves live mode, returning to batch-backed snapshots. The monitor,
+    /// if one was attached, is returned to the caller.
     pub fn detach_live_monitor(&mut self) -> Option<Arc<StreamMonitor>> {
-        let source = self.live.take();
+        let monitor = self.live.take();
         self.reset_snapshot_state();
-        match source {
-            Some(LiveSource::Single(m)) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Leaves live mode, returning whatever source was attached.
-    pub fn detach_live_source(&mut self) -> Option<LiveSource> {
-        let source = self.live.take();
-        self.reset_snapshot_state();
-        source
-    }
-
-    /// The attached live source (single or sharded), when in live mode.
-    pub fn live_source(&self) -> Option<&LiveSource> {
-        self.live.as_ref()
+        monitor
     }
 
     /// Drops the memoized snapshots and resets the scrubber: version
@@ -297,17 +209,12 @@ impl BatchLens {
     /// monitor's [`StreamMonitor::state_version`] in live mode, the
     /// immutable dataset's constant 0 otherwise.
     fn source_version(&self) -> u64 {
-        self.live.as_ref().map_or(0, LiveSource::state_version)
+        self.live.as_ref().map_or(0, |m| m.state_version())
     }
 
-    /// The attached live monitor, when the lens is in live mode over a
-    /// single (unsharded) monitor. Sharded sources answer through
-    /// [`BatchLens::live_source`] instead.
+    /// The attached live monitor, when the lens is in live mode.
     pub fn live_monitor(&self) -> Option<&Arc<StreamMonitor>> {
-        match self.live.as_ref() {
-            Some(LiveSource::Single(m)) => Some(m),
-            _ => None,
-        }
+        self.live.as_ref()
     }
 
     /// The underlying dataset.
@@ -359,15 +266,10 @@ impl BatchLens {
         cache.misses += 1;
         let cache = &mut *cache;
         let snap = match &self.live {
-            Some(LiveSource::Single(monitor)) => {
+            Some(monitor) => {
                 let view = monitor.live_view();
                 cache.scrub.seek(&view, at);
                 cache.scrub.snapshot(&view).clone()
-            }
-            Some(LiveSource::Sharded(sharded)) => {
-                let source = sharded.as_ref();
-                cache.scrub.seek(source, at);
-                cache.scrub.snapshot(source).clone()
             }
             None => {
                 cache.scrub.seek(&self.dataset, at);
@@ -397,8 +299,7 @@ impl BatchLens {
         cache.misses += 1;
         let cache = &mut *cache;
         match &self.live {
-            Some(LiveSource::Single(monitor)) => cache.scrub.seek(&monitor.live_view(), at),
-            Some(LiveSource::Sharded(sharded)) => cache.scrub.seek(sharded.as_ref(), at),
+            Some(monitor) => cache.scrub.seek(&monitor.live_view(), at),
             None => cache.scrub.seek(&self.dataset, at),
         }
         let idx = cache.scrub.coalloc().clone();
@@ -457,10 +358,7 @@ impl BatchLens {
         // above): concurrent requests for the same instant wait here and
         // then hit, instead of racing N captures.
         let frame = Arc::new(match &self.live {
-            Some(LiveSource::Single(monitor)) => monitor.live_view().frame(at),
-            // The facade's override: all shards captured at one version
-            // cut under the exclusive epoch gate.
-            Some(LiveSource::Sharded(sharded)) => sharded.frame(at),
+            Some(monitor) => monitor.live_view().frame(at),
             None => self.dataset.frame(at),
         });
         // Key by the version the capture actually saw: under concurrent
@@ -582,11 +480,9 @@ impl BatchLens {
         if !self.view.show_anomalies() {
             return Vec::new();
         }
-        match self.live.as_ref() {
-            Some(LiveSource::Single(m)) => m.peek_alerts(),
-            Some(LiveSource::Sharded(s)) => s.peek_alerts(),
-            None => Vec::new(),
-        }
+        self.live
+            .as_ref()
+            .map_or_else(Vec::new, |m| m.peek_alerts())
     }
 
     /// The line-chart data for the selected job (or `None` when no job is

@@ -248,13 +248,20 @@ fn usage_rows(lens: &BatchLens) -> Vec<ServerUsageRecord> {
 ///
 /// # Errors
 ///
-/// [`DumpError::MonitorHasNoWal`] for an unlogged monitor; otherwise IO,
-/// serialization, or WAL-compaction failures.
+/// [`DumpError::MonitorHasNoWal`] for an unlogged monitor, returned before
+/// anything is created or written; otherwise IO, serialization, or
+/// WAL-compaction failures.
 pub fn dump(
     dir: &Path,
     lens: &BatchLens,
     monitor: Option<&StreamMonitor>,
 ) -> Result<DumpReport, DumpError> {
+    // Checked first: a dump that stopped here after writing the tables
+    // would restore as a lens whose monitor silently vanished.
+    let monitor = match monitor {
+        Some(m) => Some((m, m.wal_dir().ok_or(DumpError::MonitorHasNoWal)?)),
+        None => None,
+    };
     fs::create_dir_all(dir).map_err(|source| DumpError::Io {
         op: "create dir",
         path: dir.to_path_buf(),
@@ -298,8 +305,7 @@ pub fn dump(
         segments: store_report.segments,
         monitor: None,
     };
-    if let Some(monitor) = monitor {
-        let wal_dir = monitor.wal_dir().ok_or(DumpError::MonitorHasNoWal)?;
+    if let Some((monitor, wal_dir)) = monitor {
         monitor.sync_wal();
         let monitor_dir = dir.join("monitor");
         fs::create_dir_all(&monitor_dir).map_err(|source| DumpError::Io {
@@ -319,8 +325,10 @@ pub fn dump(
 /// Restores a lens (and monitor, when the dump contains one) from a
 /// directory written by [`dump`].
 ///
-/// The dataset is rebuilt from the CSV tables and explicit machine
-/// declarations, the session log replays into the view state
+/// The dataset is opened from the `dataset/` segment store
+/// ([`TraceDataset::open`]); only a dump without that directory falls back
+/// to parsing the CSV tables and explicit machine declarations. The
+/// session log replays into the view state
 /// ([`BatchLens::with_session`]), and the monitor — if dumped — is
 /// recovered from the compacted WAL with the dumped configuration. Apply
 /// tail records from a newer live log via
@@ -611,6 +619,11 @@ mod tests {
         let monitor = StreamMonitor::new(StreamConfig::default()).unwrap();
         let err = dump(&dir, &lens, Some(&monitor)).unwrap_err();
         assert!(matches!(err, DumpError::MonitorHasNoWal));
+        // Nothing was written, so the failed dump cannot restore as a lens
+        // without its monitor.
+        assert!(!dir.exists(), "a failed dump leaves no files behind");
+        let err = restore(&dir).unwrap_err();
+        assert!(matches!(err, RestoreError::Io { .. }), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

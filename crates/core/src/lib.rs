@@ -45,7 +45,6 @@ pub mod interaction;
 pub mod pipeline;
 pub mod report;
 pub mod session;
-pub mod shard;
 pub mod stream;
 pub mod tour;
 pub mod view;

@@ -238,9 +238,6 @@ pub enum StreamConfigError {
     /// unseen. Poll-style consumers need at least capacity 1; callers that
     /// truly want no retention should drain instead.
     ZeroAlertCapacity,
-    /// A [`crate::shard::ShardedMonitor`] was asked for zero shards: there
-    /// would be nowhere to route any delivery.
-    ZeroShards,
 }
 
 impl fmt::Display for StreamConfigError {
@@ -254,9 +251,6 @@ impl fmt::Display for StreamConfigError {
             }
             StreamConfigError::ZeroAlertCapacity => {
                 write!(f, "alert_capacity must be at least 1")
-            }
-            StreamConfigError::ZeroShards => {
-                write!(f, "shard count must be at least 1")
             }
         }
     }
@@ -422,11 +416,11 @@ impl LiveIndexes {
 /// The shape follows the task-batching exemplars: a stable identity
 /// (`id`), a wall-clock provenance stamp (`created_at`), the payload, and
 /// a `version` that increases monotonically across the batches of one
-/// producer — the epoch number. The version is what multi-log recovery
-/// cuts on: a sharded monitor seals it into every shard's WAL when the
-/// batch finishes applying ([`batchlens_trace::wal::WalRecord::EpochSealed`]),
-/// so [`crate::shard::ShardedMonitor::recover`] can stop all shards at the
-/// highest epoch sealed everywhere.
+/// producer — the epoch number. The version is logged after the epoch's
+/// records as a [`batchlens_trace::wal::WalRecord::EpochSealed`] marker,
+/// so after [`StreamMonitor::recover`] the monitor's
+/// [`StreamMonitor::sealed_epoch`] names the last epoch the log holds in
+/// full, and the producer resends from the epoch after it.
 ///
 /// Construction cost is O(records) to move the payload in; ingesting it is
 /// O(records × detectors) amortized — identical per-record work to
@@ -440,7 +434,8 @@ pub struct Batch {
     /// The usage records of the epoch, in delivery order.
     pub records: Vec<ServerUsageRecord>,
     /// Monotonic epoch version across one producer's batches. Strictly
-    /// increasing; sealed into the WAL when the batch finishes applying.
+    /// increasing; logged with the batch's records, as the group's last
+    /// frame, before any record is applied.
     pub version: u64,
 }
 
@@ -485,7 +480,7 @@ fn epoch_group(
 
 /// Everything the monitor mutates, behind one lock.
 #[derive(Debug, Default)]
-pub(crate) struct Inner {
+struct Inner {
     machines: BTreeMap<MachineId, MachineState>,
     live: LiveIndexes,
     /// Bumped on **every** mutation that could change a query answer
@@ -1045,10 +1040,10 @@ impl StreamMonitor {
         }
     }
 
-    /// Ingests a sealed [`Batch`] under **one** lock acquisition, returning
-    /// every alert the epoch fired (in record order), then seals the
-    /// batch's epoch `version` into the attached WAL
-    /// ([`WalRecord::EpochSealed`]).
+    /// Ingests a sealed [`Batch`] under **one** lock acquisition and
+    /// returns every alert the epoch fired, in record order. With a WAL
+    /// attached, the records and the batch's epoch `version`
+    /// ([`WalRecord::EpochSealed`]) are logged first, as one group.
     ///
     /// **Equivalence contract** (enforced by the workspace
     /// `batched_ingest_equivalence` suite): the resulting monitor state is
@@ -1062,11 +1057,11 @@ impl StreamMonitor {
     ///
     /// Logging: the epoch's usage frames and its seal go to the WAL as one
     /// group ([`WalWriter::append_all`]) before any record is applied, so
-    /// the log bytes equal those of per-record appends followed by
-    /// [`StreamMonitor::seal_epoch`]. A failed group write counts once in
-    /// [`StreamMonitor::wal_errors`] and leaves the epoch out of the log
-    /// (see [`WalWriter::append_all`] for a group that crosses a segment
-    /// rotation); the epoch is still applied.
+    /// the log bytes equal those of one [`StreamMonitor::ingest`] per
+    /// record followed by the `EpochSealed` marker. A failed group write
+    /// counts once in [`StreamMonitor::wal_errors`] and leaves the epoch
+    /// out of the log (see [`WalWriter::append_all`] for a group that
+    /// crosses a segment rotation); the epoch is still applied.
     ///
     /// Cost: O(records × detectors) amortized, one lock round-trip and,
     /// with a WAL attached, one `write` per epoch (plus one per segment
@@ -1082,33 +1077,10 @@ impl StreamMonitor {
         alerts
     }
 
-    /// The sharded fan-out step: logs and ingests one shard's slice of an
-    /// epoch under one lock, exactly as [`StreamMonitor::ingest_batch`]
-    /// does, tagging every fired alert with the **batch-global** index of
-    /// the record that fired it (so the facade can merge shard outputs
-    /// back into exact record order).
-    pub(crate) fn apply_batch_part(
-        &self,
-        part: &[(u32, ServerUsageRecord)],
-        epoch: u64,
-    ) -> Vec<(u32, Alert)> {
-        let mut tagged = Vec::new();
-        let mut alerts = Vec::new();
-        let mut inner = self.inner.lock();
-        inner.log_wal(epoch_group(part.iter().map(|&(_, rec)| rec), epoch));
-        for &(idx, rec) in part {
-            self.apply_usage(&mut inner, rec, &mut alerts);
-            tagged.extend(alerts.drain(..).map(|a| (idx, a)));
-        }
-        inner.sealed_epoch = Some(epoch);
-        tagged
-    }
-
-    /// Seals `epoch` into the attached WAL without ingesting anything —
-    /// the marker a multi-log writer appends to logs that carried no
-    /// records this epoch, so every log's sealed-epoch frontier still
-    /// advances in lockstep. Not query-visible (no version bump).
-    pub fn seal_epoch(&self, epoch: u64) {
+    /// The replay step of an `EpochSealed` record: logs the marker (when a
+    /// WAL is attached) and advances the sealed-epoch frontier without
+    /// ingesting anything. Not query-visible (no version bump).
+    fn seal_epoch(&self, epoch: u64) {
         let mut inner = self.inner.lock();
         inner.log_wal([WalRecord::EpochSealed(epoch)]);
         inner.sealed_epoch = Some(epoch);
@@ -1439,37 +1411,6 @@ impl StreamMonitor {
     /// Number of machines currently tracked.
     pub fn tracked_machines(&self) -> usize {
         self.inner.lock().machines.len()
-    }
-
-    /// The locked rolling state, for the sharded facade's one-version-cut
-    /// frame capture: [`Inner`] implements [`DatasetQuery`], so a caller
-    /// holding several shards' guards can answer every query from one
-    /// simultaneous cut.
-    pub(crate) fn lock_inner(&self) -> parking_lot::MutexGuard<'_, Inner> {
-        self.inner.lock()
-    }
-}
-
-/// A retained-alert buffer that cursors can poll: the shared surface of
-/// [`StreamMonitor`] (one ring) and
-/// [`crate::shard::ShardedMonitor`] (per-shard rings merged into one global
-/// sequence). Consumers that only poll — serving-layer alert cursors —
-/// accept any `AlertSource` instead of naming a monitor type.
-pub trait AlertSource: Send + Sync {
-    /// Non-destructive cursor read; see [`StreamMonitor::alerts_since`].
-    fn alerts_since(&self, seq: u64) -> AlertBatch;
-    /// The sequence number the next fired alert will carry; see
-    /// [`StreamMonitor::next_alert_seq`].
-    fn next_alert_seq(&self) -> u64;
-}
-
-impl AlertSource for StreamMonitor {
-    fn alerts_since(&self, seq: u64) -> AlertBatch {
-        StreamMonitor::alerts_since(self, seq)
-    }
-
-    fn next_alert_seq(&self) -> u64 {
-        StreamMonitor::next_alert_seq(self)
     }
 }
 

@@ -1,13 +1,10 @@
-//! Per-session alert cursors over an [`AlertSource`]'s retained buffer
-//! (a [`StreamMonitor`] or a sharded facade).
+//! Per-session alert cursors over a [`StreamMonitor`]'s retained alert
+//! buffer.
 
-#[cfg(doc)]
-use batchlens::stream::StreamMonitor;
-use batchlens::stream::{AlertBatch, AlertSource};
+use batchlens::stream::{AlertBatch, StreamMonitor};
 
 /// A non-destructive, independently positioned cursor over the alert
-/// sequence of one [`AlertSource`] — a [`StreamMonitor`] or a
-/// [`batchlens::shard::ShardedMonitor`] facade.
+/// sequence of one [`StreamMonitor`].
 ///
 /// # Contract
 ///
@@ -64,8 +61,8 @@ impl AlertCursor {
     /// advances past it. Returns the batch exactly as the monitor
     /// reported it (alerts in firing order, `missed` = gap to this
     /// cursor's position).
-    pub fn poll<S: AlertSource + ?Sized>(&mut self, source: &S) -> AlertBatch {
-        let batch = source.alerts_since(self.next_seq);
+    pub fn poll(&mut self, monitor: &StreamMonitor) -> AlertBatch {
+        let batch = monitor.alerts_since(self.next_seq);
         self.next_seq = batch.next_seq;
         self.delivered += batch.alerts.len() as u64;
         self.missed += batch.missed;

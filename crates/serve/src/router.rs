@@ -146,10 +146,9 @@ fn readyz(ctx: &RouterContext<'_>) -> Response {
         let _ = lens.view().extent();
     }))
     .is_ok();
-    // Readiness is all-or-nothing across shards: a sharded source is
-    // healthy only while *every* shard's WAL is — one lossy shard log
-    // means recovery can no longer reproduce the full state.
-    let wal_healthy = lens.live_source().is_none_or(|s| s.wal_healthy());
+    // A failed append leaves a gap in the log that recovery cannot
+    // reproduce, so a WAL with any errors keeps readiness off.
+    let wal_healthy = lens.live_monitor().is_none_or(|m| m.wal_healthy());
     let degraded = ctx.manager.degraded();
     let ready = responsive && wal_healthy && !degraded;
     let body = format!(
@@ -402,5 +401,71 @@ mod tests {
         let unavailable = route(&ctx, &get(&format!("/sessions/{empty}/frame")));
         assert_eq!(unavailable.status, 503);
         assert!(!unavailable.close);
+    }
+
+    /// One failed `wal.append` on the live monitor flips `/readyz` to 503
+    /// and shows as `wal_errors` in `/statsz`.
+    #[test]
+    fn a_failed_wal_append_blocks_readiness() {
+        use crate::stats::StatszPayload;
+        use batchlens::stream::{StreamConfig, StreamMonitor};
+        use batchlens_trace::wal::{WalConfig, WalWriter};
+        use batchlens_trace::{MachineId, ServerUsageRecord, Timestamp, UtilizationTriple};
+
+        let _g = batchlens_fault::test_guard();
+        let dir = std::env::temp_dir().join(format!(
+            "batchlens-router-readyz-wal-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let monitor = Arc::new(StreamMonitor::new(StreamConfig::default()).unwrap());
+        monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
+        let mut lens = BatchLens::new(scenario::fig3b(18).run().unwrap());
+        lens.attach_live_monitor(Arc::clone(&monitor));
+        let manager = SessionManager::new(Arc::new(lens));
+        let stats = ServeStats::new();
+        let ctx = RouterContext {
+            manager: &manager,
+            stats: &stats,
+            workers: 1,
+        };
+        let statsz = || -> StatszPayload {
+            let resp = route(&ctx, &get("/statsz"));
+            assert_eq!(resp.status, 200);
+            serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap()
+        };
+
+        let payload = statsz();
+        assert!(payload.live);
+        assert!(payload.wal_healthy);
+        assert_eq!(payload.wal_errors, 0);
+        assert_eq!(route(&ctx, &get("/readyz")).status, 200);
+
+        batchlens_fault::arm(
+            "wal.append",
+            batchlens_fault::FaultSpec::new(
+                batchlens_fault::Fault::Error,
+                batchlens_fault::Trigger::Times(1),
+            ),
+        );
+        monitor.ingest(ServerUsageRecord {
+            time: Timestamp::new(0),
+            machine: MachineId::new(0),
+            util: UtilizationTriple::clamped(0.5, 0.3, 0.3),
+        });
+        batchlens_fault::disarm_all();
+
+        let ready = route(&ctx, &get("/readyz"));
+        assert_eq!(ready.status, 503);
+        let body = String::from_utf8_lossy(&ready.body).to_string();
+        assert!(body.contains("\"wal_healthy\":false"), "{body}");
+        let payload = statsz();
+        assert!(!payload.wal_healthy);
+        assert_eq!(payload.wal_errors, 1);
+        assert_eq!(
+            payload.ingested, 1,
+            "the record is applied despite the log gap"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

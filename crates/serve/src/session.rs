@@ -302,10 +302,7 @@ impl SessionManager {
     pub fn create(&self) -> SessionCreated {
         self.evict_idle();
         let extent = self.lens.view().extent();
-        let cursor_start = self
-            .lens
-            .live_source()
-            .map_or(0, |s| s.alert_source().next_alert_seq());
+        let cursor_start = self.lens.live_monitor().map_or(0, |m| m.next_alert_seq());
         let view = ViewState::new(extent);
         let at = view.selected_timestamp();
         let session = Session {
@@ -515,9 +512,9 @@ impl SessionManager {
     ///
     /// [`UnknownSession`] when `id` does not exist.
     pub fn poll_alerts(&self, id: u64) -> Result<AlertsPayload, UnknownSession> {
-        self.with_session(id, |s| match self.lens.live_source() {
-            Some(source) => {
-                let batch = s.cursor.poll(source.alert_source());
+        self.with_session(id, |s| match self.lens.live_monitor() {
+            Some(monitor) => {
+                let batch = s.cursor.poll(monitor);
                 AlertsPayload {
                     session: id,
                     live: true,

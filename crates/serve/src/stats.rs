@@ -99,6 +99,7 @@ impl ServeStats {
     pub fn snapshot(&self, manager: &SessionManager, workers: usize) -> StatszPayload {
         let (frame_hits, frame_misses) = manager.lens().frame_cache_stats();
         let (snap_hits, snap_misses) = manager.lens().snapshot_cache_stats();
+        let live = manager.lens().live_monitor();
         let total = frame_hits + frame_misses;
         StatszPayload {
             total_requests: self.total_requests.load(Ordering::Relaxed),
@@ -111,16 +112,10 @@ impl ServeStats {
             degraded: manager.degraded(),
             stale_served: manager.stale_served_total(),
             sessions_evicted: manager.evicted_total(),
-            live: manager.lens().live_source().is_some(),
-            wal_healthy: manager.lens().live_source().is_none_or(|s| s.wal_healthy()),
-            shard_wal_errors: manager
-                .lens()
-                .live_source()
-                .map_or_else(Vec::new, |s| s.shard_wal_errors()),
-            shard_ingested: manager
-                .lens()
-                .live_source()
-                .map_or_else(Vec::new, |s| s.shard_ingested()),
+            live: live.is_some(),
+            wal_healthy: live.is_none_or(|m| m.wal_healthy()),
+            wal_errors: live.map_or(0, |m| m.wal_errors()),
+            ingested: live.map_or(0, |m| m.ingested()),
             worker_pool: WorkerPoolStats {
                 workers,
                 queue_depth: self.queue_depth(),
@@ -191,20 +186,18 @@ pub struct StatszPayload {
     pub stale_served: u64,
     /// Idle sessions evicted by the TTL sweep.
     pub sessions_evicted: u64,
-    /// Whether the lens is live-monitor-backed (single or sharded).
+    /// Whether the lens is backed by a live monitor.
     pub live: bool,
-    /// Whether **every** attached WAL is healthy. `false` as soon as any
-    /// shard's log has a failed append — mirrored by `/readyz` going 503.
-    /// Vacuously `true` without a live source.
+    /// Whether the live monitor's WAL is healthy. `false` as soon as an
+    /// append or sync fails — mirrored by `/readyz` going 503. Vacuously
+    /// `true` without a live monitor or without a WAL.
     pub wal_healthy: bool,
-    /// Failed WAL appends per shard, indexed by shard id. One entry for a
-    /// single (unsharded) monitor; empty without a live source. A nonzero
-    /// entry pinpoints *which* shard's log is lossy.
-    pub shard_wal_errors: Vec<u64>,
-    /// Records ingested per shard, indexed by shard id — the routing
-    /// balance observability for sharded ingestion. One entry for a
-    /// single monitor; empty without a live source.
-    pub shard_ingested: Vec<u64>,
+    /// Failed WAL appends and syncs of the live monitor
+    /// ([`batchlens::stream::StreamMonitor::wal_errors`]); 0 without one.
+    pub wal_errors: u64,
+    /// Usage records the live monitor has ingested, stragglers excluded
+    /// ([`batchlens::stream::StreamMonitor::ingested`]); 0 without one.
+    pub ingested: u64,
     /// Worker-pool depth observability.
     pub worker_pool: WorkerPoolStats,
     /// The shared frame cache — `hit_rate` is the fraction of frame
@@ -256,6 +249,11 @@ mod tests {
         assert!(!payload.degraded);
         assert_eq!(payload.stale_served, 0);
         assert_eq!(payload.sessions_evicted, 0);
+        // A batch lens has no live monitor: both monitor counters are 0.
+        assert!(!payload.live);
+        assert!(payload.wal_healthy);
+        assert_eq!(payload.wal_errors, 0);
+        assert_eq!(payload.ingested, 0);
         assert_eq!(payload.sessions.len(), 1);
         assert_eq!(payload.sessions[0].requests, 2);
         // The payload is JSON-serializable end to end.

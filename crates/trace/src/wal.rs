@@ -214,11 +214,11 @@ pub enum WalRecord {
     /// recovered buffer holds exactly the not-yet-drained alerts.
     AlertsDrained,
     /// Every record of the ingestion epoch with this monotonic batch
-    /// version has been appended to **this** log. A sharded monitor writes
-    /// the marker to every shard's log when a `Batch` finishes applying, so
-    /// multi-log recovery can stop each shard at the highest epoch sealed
-    /// in *all* logs — the consistent version cut. Applying the marker
-    /// mutates no query-visible state.
+    /// version precedes this marker in the log: `ingest_batch` writes it
+    /// as the last frame of the epoch's group. Replay restores it as the
+    /// monitor's sealed epoch, the last epoch the log holds in full, so a
+    /// producer knows to resend from the epoch after it. Applying the
+    /// marker mutates no query-visible state.
     EpochSealed(u64),
 }
 

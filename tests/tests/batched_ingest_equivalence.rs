@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use batchlens::stream::{BatchSequencer, StreamConfig, StreamMonitor};
-use batchlens::trace::wal::{WalConfig, WalWriter};
+use batchlens::trace::wal::{WalConfig, WalRecord, WalWriter};
 use batchlens::trace::{
     DatasetQuery, MachineId, Metric, ServerUsageRecord, TimeDelta, TimeRange, Timestamp,
     UtilizationTriple,
@@ -118,8 +118,9 @@ fn segments(dir: &Path) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Logs the deliveries twice — epoch by epoch through `ingest_batch`, and
-/// record by record with a `seal_epoch` after each epoch — and checks that
-/// the two logs are byte-identical and replay to both live monitors.
+/// record by record with the epoch's `EpochSealed` marker applied after
+/// each epoch — and checks that the two logs are byte-identical and replay
+/// to both live monitors.
 fn batch_logged_wal_matches_record_logged(
     deliveries: &[ServerUsageRecord],
     chunk: usize,
@@ -142,7 +143,7 @@ fn batch_logged_wal_matches_record_logged(
         for &rec in part {
             serial.ingest(rec);
         }
-        serial.seal_epoch(batch.version);
+        serial.apply_replayed(WalRecord::EpochSealed(batch.version));
         last_version = Some(batch.version);
     }
     prop_assert_eq!(batched.wal_errors(), 0);
