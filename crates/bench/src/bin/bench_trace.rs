@@ -757,6 +757,35 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         serial_t,
         batched_t,
     ));
+
+    // --- SVG serialization of the served dashboard: the retained
+    //     allocate-per-token serializer vs the writer that puts every token
+    //     straight into the output, on the 1200×800 render_from_frame
+    //     dashboard at the middle of the span. The documents are
+    //     byte-identical (svg_differential proves it over random scenes;
+    //     checked here once outside the timed loops). ---
+    use batchlens::analytics::aggregate::ClusterTimeline;
+    use batchlens::render::{svg, Dashboard};
+    let mid = span.start() + TimeDelta::seconds(span.duration().as_seconds() / 2);
+    let scene = Dashboard::new(1200.0, 800.0)
+        .render_from_frame(&ds.frame(mid), &ClusterTimeline::build(ds));
+    let svg_bytes = svg::to_svg(&scene);
+    assert_eq!(
+        svg_bytes,
+        svg::reference::to_svg(&scene),
+        "the writer must match the reference serializer"
+    );
+    let svg_reps = if tier == Tier::Paper { 20 } else { 40 };
+    let optimized = measure(svg_reps, || svg::to_svg(&scene).len());
+    let naive_s = measure(svg_reps, || svg::reference::to_svg(&scene).len());
+    println!(
+        "svg_render_{suffix}: {} B at t={}; reference {:.0} us, writer {:.0} us",
+        svg_bytes.len(),
+        mid.seconds(),
+        naive_s.min_ns / 1e3,
+        optimized.min_ns / 1e3,
+    );
+    entries.push(entry(format!("svg_render_{suffix}"), naive_s, optimized));
 }
 
 /// Serving-layer rows: `sessions` concurrent keep-alive dashboard sessions

@@ -60,11 +60,7 @@ impl Color {
 
     /// Renders as `#rrggbb` (alpha omitted when opaque) or `#rrggbbaa`.
     pub fn to_hex(&self) -> String {
-        if self.a == 255 {
-            format!("#{:02x}{:02x}{:02x}", self.r, self.g, self.b)
-        } else {
-            format!("#{:02x}{:02x}{:02x}{:02x}", self.r, self.g, self.b, self.a)
-        }
+        self.to_string()
     }
 
     /// Linear interpolation in sRGB space at `t ∈ [0, 1]`.
@@ -97,9 +93,19 @@ impl Color {
     }
 }
 
+/// The one hex encoder: [`Color::to_hex`] and the SVG writer both go
+/// through it. It writes straight to the formatter, allocating nothing.
 impl std::fmt::Display for Color {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_hex())
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let channels = [self.r, self.g, self.b, self.a];
+        let used = if self.a == 255 { 3 } else { 4 };
+        let mut buf = [b'#'; 9];
+        for (i, c) in channels[..used].iter().enumerate() {
+            buf[1 + 2 * i] = DIGITS[usize::from(c >> 4)];
+            buf[2 + 2 * i] = DIGITS[usize::from(c & 0xf)];
+        }
+        f.write_str(std::str::from_utf8(&buf[..1 + 2 * used]).expect("hex digits are ASCII"))
     }
 }
 
@@ -202,6 +208,20 @@ mod tests {
         assert_eq!(Color::from_hex("#01020380"), Some(t));
         assert_eq!(Color::from_hex("nope"), None);
         assert_eq!(Color::from_hex("#12345"), None);
+    }
+
+    #[test]
+    fn hex_pads_every_channel_value() {
+        for v in 0..=255u8 {
+            let c = Color::rgba(v, v ^ 0x5a, 255 - v, v);
+            let rgb = format!("#{:02x}{:02x}{:02x}", c.r, c.g, c.b);
+            let expected = if v == 255 {
+                rgb
+            } else {
+                format!("{rgb}{v:02x}")
+            };
+            assert_eq!(c.to_hex(), expected);
+        }
     }
 
     #[test]

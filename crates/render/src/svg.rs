@@ -6,28 +6,41 @@ use batchlens_layout::Color;
 
 use crate::scene::{Align, Node, Scene, Stroke, Style};
 
+pub mod reference;
+
 /// Serializes a scene into a standalone SVG document string.
 ///
 /// The output is deterministic and self-contained (no external refs), so
-/// figures are byte-stable across runs and diffable in tests.
+/// figures are byte-stable across runs and diffable in tests. Every token
+/// is written straight into the returned `String`; nothing is allocated per
+/// number, colour or label.
+///
+/// Numbers are printed compactly:
+///
+/// * a non-finite value prints `0`;
+/// * an integral value with `|v| < 1e15` prints as an integer;
+/// * any other value prints as `format!("{v:.3}")` does — the exact binary
+///   value rounded half-to-even to three decimals, so `0.0625` prints
+///   `0.062` — with trailing zeros and a bare `.` removed.
+///
+/// The bytes equal those of [`reference::to_svg`], the retained
+/// allocate-per-token serializer (the workspace's `svg_differential`
+/// suite asserts it).
 pub fn to_svg(scene: &Scene) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    let _ = writeln!(
-        s,
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{w}\" height=\"{h}\" \
-         viewBox=\"0 0 {w} {h}\">",
-        w = fmt_num(scene.width),
-        h = fmt_num(scene.height),
-    );
+    s.push_str("<svg xmlns=\"http://www.w3.org/2000/svg\"");
+    num_attr(&mut s, "width", scene.width);
+    num_attr(&mut s, "height", scene.height);
+    s.push_str(" viewBox=\"0 0 ");
+    push_pair(&mut s, scene.width, ' ', scene.height);
+    s.push_str("\">\n");
     // Background.
-    let _ = writeln!(
-        s,
-        "<rect x=\"0\" y=\"0\" width=\"{}\" height=\"{}\" fill=\"{}\"/>",
-        fmt_num(scene.width),
-        fmt_num(scene.height),
-        scene.background,
-    );
+    s.push_str("<rect x=\"0\" y=\"0\"");
+    num_attr(&mut s, "width", scene.width);
+    num_attr(&mut s, "height", scene.height);
+    color_attr(&mut s, "fill", scene.background);
+    s.push_str("/>\n");
     for node in &scene.root {
         write_node(&mut s, node);
     }
@@ -45,19 +58,20 @@ fn write_node(s: &mut String, node: &Node) {
             let (tx, ty) = *translate;
             s.push_str("<g");
             if tx != 0.0 || ty != 0.0 {
-                let _ = write!(
-                    s,
-                    " transform=\"translate({} {})\"",
-                    fmt_num(tx),
-                    fmt_num(ty)
-                );
+                s.push_str(" transform=\"translate(");
+                push_pair(s, tx, ' ', ty);
+                s.push_str(")\"");
             }
             if let Some(l) = label {
-                let _ = write!(s, " data-label=\"{}\"", escape(l));
+                s.push_str(" data-label=\"");
+                push_escaped(s, l);
+                s.push('"');
             }
             s.push_str(">\n");
             if let Some(l) = label {
-                let _ = writeln!(s, "<title>{}</title>", escape(l));
+                s.push_str("<title>");
+                push_escaped(s, l);
+                s.push_str("</title>\n");
             }
             for child in children {
                 write_node(s, child);
@@ -72,22 +86,17 @@ fn write_node(s: &mut String, node: &Node) {
             label,
         } => {
             s.push_str("<circle");
-            let _ = write!(
-                s,
-                " cx=\"{}\" cy=\"{}\" r=\"{}\"",
-                fmt_num(*cx),
-                fmt_num(*cy),
-                fmt_num(*r)
-            );
+            num_attr(s, "cx", *cx);
+            num_attr(s, "cy", *cy);
+            num_attr(s, "r", *r);
             write_style(s, style);
-            if label.is_some() {
-                s.push('>');
-                if let Some(l) = label {
-                    let _ = write!(s, "<title>{}</title>", escape(l));
+            match label {
+                Some(l) => {
+                    s.push_str("><title>");
+                    push_escaped(s, l);
+                    s.push_str("</title></circle>\n");
                 }
-                s.push_str("</circle>\n");
-            } else {
-                s.push_str("/>\n");
+                None => s.push_str("/>\n"),
             }
         }
         Node::AnnulusSector {
@@ -99,35 +108,30 @@ fn write_node(s: &mut String, node: &Node) {
             end_angle,
             style,
         } => {
-            let _ = write!(
-                s,
-                "<path d=\"{}\"",
-                annulus_path(*cx, *cy, *inner, *outer, *start_angle, *end_angle)
-            );
+            s.push_str("<path d=\"");
+            push_annulus_path(s, *cx, *cy, *inner, *outer, *start_angle, *end_angle);
+            s.push('"');
             write_style(s, style);
             s.push_str("/>\n");
         }
         Node::Polyline { points, style } => {
             s.push_str("<polyline points=\"");
-            for (i, (x, y)) in points.iter().enumerate() {
+            for (i, &(x, y)) in points.iter().enumerate() {
                 if i > 0 {
                     s.push(' ');
                 }
-                let _ = write!(s, "{},{}", fmt_num(*x), fmt_num(*y));
+                push_pair(s, x, ',', y);
             }
             s.push('"');
             write_style(s, style);
             s.push_str("/>\n");
         }
         Node::Line { from, to, style } => {
-            let _ = write!(
-                s,
-                "<line x1=\"{}\" y1=\"{}\" x2=\"{}\" y2=\"{}\"",
-                fmt_num(from.0),
-                fmt_num(from.1),
-                fmt_num(to.0),
-                fmt_num(to.1)
-            );
+            s.push_str("<line");
+            num_attr(s, "x1", from.0);
+            num_attr(s, "y1", from.1);
+            num_attr(s, "x2", to.0);
+            num_attr(s, "y2", to.1);
             write_style(s, style);
             s.push_str("/>\n");
         }
@@ -138,14 +142,11 @@ fn write_node(s: &mut String, node: &Node) {
             height,
             style,
         } => {
-            let _ = write!(
-                s,
-                "<rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\"",
-                fmt_num(*x),
-                fmt_num(*y),
-                fmt_num(*width),
-                fmt_num(*height)
-            );
+            s.push_str("<rect");
+            num_attr(s, "x", *x);
+            num_attr(s, "y", *y);
+            num_attr(s, "width", *width);
+            num_attr(s, "height", *height);
             write_style(s, style);
             s.push_str("/>\n");
         }
@@ -162,17 +163,17 @@ fn write_node(s: &mut String, node: &Node) {
                 Align::Middle => "middle",
                 Align::End => "end",
             };
-            let _ = writeln!(
-                s,
-                "<text x=\"{}\" y=\"{}\" font-size=\"{}\" text-anchor=\"{}\" \
-                 font-family=\"sans-serif\" fill=\"{}\">{}</text>",
-                fmt_num(*x),
-                fmt_num(*y),
-                fmt_num(*size),
-                anchor,
-                color,
-                escape(text)
-            );
+            s.push_str("<text");
+            num_attr(s, "x", *x);
+            num_attr(s, "y", *y);
+            num_attr(s, "font-size", *size);
+            s.push_str(" text-anchor=\"");
+            s.push_str(anchor);
+            s.push_str("\" font-family=\"sans-serif\"");
+            color_attr(s, "fill", *color);
+            s.push('>');
+            push_escaped(s, text);
+            s.push_str("</text>\n");
         }
     }
 }
@@ -180,108 +181,184 @@ fn write_node(s: &mut String, node: &Node) {
 fn write_style(s: &mut String, style: &Style) {
     match style.fill {
         Some(c) => {
-            let _ = write!(s, " fill=\"{}\"", c);
+            color_attr(s, "fill", c);
             if c.a != 255 {
-                let _ = write!(s, " fill-opacity=\"{}\"", fmt_num(c.a as f64 / 255.0));
+                num_attr(s, "fill-opacity", c.a as f64 / 255.0);
             }
         }
         None => s.push_str(" fill=\"none\""),
     }
     if style.opacity < 1.0 {
-        let _ = write!(s, " opacity=\"{}\"", fmt_num(style.opacity));
+        num_attr(s, "opacity", style.opacity);
     }
     if let Some(c) = style.stroke {
-        let _ = write!(
-            s,
-            " stroke=\"{}\" stroke-width=\"{}\"",
-            c,
-            fmt_num(style.stroke_width)
-        );
+        color_attr(s, "stroke", c);
+        num_attr(s, "stroke-width", style.stroke_width);
         if c.a != 255 {
-            let _ = write!(s, " stroke-opacity=\"{}\"", fmt_num(c.a as f64 / 255.0));
+            num_attr(s, "stroke-opacity", c.a as f64 / 255.0);
         }
-        match style.dash {
-            Stroke::Solid => {}
-            Stroke::Dotted => {
-                let _ = write!(
-                    s,
-                    " stroke-dasharray=\"{} {}\"",
-                    fmt_num(style.stroke_width),
-                    fmt_num(style.stroke_width * 2.0)
-                );
-            }
-            Stroke::Dashed => {
-                let _ = write!(
-                    s,
-                    " stroke-dasharray=\"{} {}\"",
-                    fmt_num(style.stroke_width * 4.0),
-                    fmt_num(style.stroke_width * 2.0)
-                );
-            }
+        let w = style.stroke_width;
+        let dash = match style.dash {
+            Stroke::Solid => None,
+            Stroke::Dotted => Some((w, w * 2.0)),
+            Stroke::Dashed => Some((w * 4.0, w * 2.0)),
+        };
+        if let Some((on, off)) = dash {
+            s.push_str(" stroke-dasharray=\"");
+            push_pair(s, on, ' ', off);
+            s.push('"');
         }
     }
 }
 
-/// Builds the SVG path for an annulus sector (ring wedge).
-fn annulus_path(cx: f64, cy: f64, inner: f64, outer: f64, start: f64, end: f64) -> String {
-    let (sx_o, sy_o) = (cx + outer * start.cos(), cy + outer * start.sin());
-    let (ex_o, ey_o) = (cx + outer * end.cos(), cy + outer * end.sin());
-    let (sx_i, sy_i) = (cx + inner * end.cos(), cy + inner * end.sin());
-    let (ex_i, ey_i) = (cx + inner * start.cos(), cy + inner * start.sin());
+/// Appends the SVG path for an annulus sector (ring wedge).
+fn push_annulus_path(
+    s: &mut String,
+    cx: f64,
+    cy: f64,
+    inner: f64,
+    outer: f64,
+    start: f64,
+    end: f64,
+) {
+    let (cos_s, sin_s) = (start.cos(), start.sin());
+    let (cos_e, sin_e) = (end.cos(), end.sin());
     let large = if (end - start).abs() > std::f64::consts::PI {
-        1
+        '1'
     } else {
-        0
+        '0'
     };
     // Outer arc sweeps positive (1), inner arc sweeps back (0).
-    format!(
-        "M {} {} A {r} {r} 0 {large} 1 {} {} L {} {} A {ri} {ri} 0 {large} 0 {} {} Z",
-        fmt_num(sx_o),
-        fmt_num(sy_o),
-        fmt_num(ex_o),
-        fmt_num(ey_o),
-        fmt_num(sx_i),
-        fmt_num(sy_i),
-        fmt_num(ex_i),
-        fmt_num(ey_i),
-        r = fmt_num(outer),
-        ri = fmt_num(inner),
-        large = large,
-    )
+    s.push_str("M ");
+    push_pair(s, cx + outer * cos_s, ' ', cy + outer * sin_s);
+    s.push_str(" A ");
+    push_pair(s, outer, ' ', outer);
+    s.push_str(" 0 ");
+    s.push(large);
+    s.push_str(" 1 ");
+    push_pair(s, cx + outer * cos_e, ' ', cy + outer * sin_e);
+    s.push_str(" L ");
+    push_pair(s, cx + inner * cos_e, ' ', cy + inner * sin_e);
+    s.push_str(" A ");
+    push_pair(s, inner, ' ', inner);
+    s.push_str(" 0 ");
+    s.push(large);
+    s.push_str(" 0 ");
+    push_pair(s, cx + inner * cos_s, ' ', cy + inner * sin_s);
+    s.push_str(" Z");
 }
 
-/// Formats a number compactly: integers without a decimal point, others to
-/// three decimals with trailing zeros trimmed.
-fn fmt_num(v: f64) -> String {
+/// Appends ` name="v"`.
+fn num_attr(s: &mut String, name: &str, v: f64) {
+    s.push(' ');
+    s.push_str(name);
+    s.push_str("=\"");
+    push_num(s, v);
+    s.push('"');
+}
+
+/// Appends ` name="#rrggbb[aa]"` through `Color`'s `Display`, the one hex
+/// encoder.
+fn color_attr(s: &mut String, name: &str, c: Color) {
+    s.push(' ');
+    s.push_str(name);
+    s.push_str("=\"");
+    let _ = write!(s, "{c}");
+    s.push('"');
+}
+
+/// Appends `a`, `sep` and `b`.
+fn push_pair(s: &mut String, a: f64, sep: char, b: f64) {
+    push_num(s, a);
+    s.push(sep);
+    push_num(s, b);
+}
+
+/// Appends `v` in the number format [`to_svg`] documents.
+fn push_num(s: &mut String, v: f64) {
     if !v.is_finite() {
-        return "0".to_string();
+        s.push('0');
+    } else if let Some(q) = thousandths(v) {
+        // An integral value prints as an integer either way; `-0.0` is the
+        // one value whose sign the integer form drops.
+        if v < 0.0 {
+            s.push('-');
+        }
+        push_digits(s, q / 1000);
+        let mut frac = q % 1000;
+        if frac != 0 {
+            s.push('.');
+            // Stopping once the rest is zero drops the trailing zeros.
+            let mut unit = 100;
+            while frac != 0 {
+                s.push(char::from(b'0' + (frac / unit) as u8));
+                frac %= unit;
+                unit /= 10;
+            }
+        }
+    } else {
+        // |v| ≥ 2^52, an integer: `{:.3}` prints its digits and `.000`.
+        let start = s.len();
+        let _ = write!(s, "{v:.3}");
+        let kept = s[start..].trim_end_matches('0').trim_end_matches('.').len();
+        s.truncate(start + kept);
     }
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        return format!("{}", v as i64);
-    }
-    let mut s = format!("{v:.3}");
-    while s.ends_with('0') {
-        s.pop();
-    }
-    if s.ends_with('.') {
-        s.pop();
-    }
-    s
 }
 
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&#39;"),
-            _ => out.push(ch),
+/// `|v| · 1000` rounded half-to-even, computed exactly from `v`'s bits:
+/// the digits `format!("{v:.3}")` prints, without the point. `None` when
+/// `v`'s binary exponent is not negative (`|v| ≥ 2^52`).
+fn thousandths(v: f64) -> Option<u64> {
+    let bits = v.to_bits();
+    let biased = (bits >> 52) & 0x7ff;
+    let fraction = bits & ((1 << 52) - 1);
+    // |v| = m / 2^k with m < 2^53.
+    let (m, k) = if biased == 0 {
+        (fraction, 1074)
+    } else {
+        (fraction | 1 << 52, 1075 - biased as i64)
+    };
+    if k <= 0 {
+        return None;
+    }
+    // m · 1000 < 2^63, so from k = 64 on it is below half of 2^k.
+    if k >= 64 {
+        return Some(0);
+    }
+    let n = m * 1000;
+    let q = n >> k;
+    let rem = n & ((1 << k) - 1);
+    let half = 1 << (k - 1);
+    Some(q + u64::from(rem > half || (rem == half && q & 1 == 1)))
+}
+
+/// Appends the decimal digits of `n`.
+fn push_digits(s: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out
+    s.extend(buf[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `text` with the XML special characters escaped.
+fn push_escaped(s: &mut String, text: &str) {
+    for ch in text.chars() {
+        match ch {
+            '&' => s.push_str("&amp;"),
+            '<' => s.push_str("&lt;"),
+            '>' => s.push_str("&gt;"),
+            '"' => s.push_str("&quot;"),
+            '\'' => s.push_str("&#39;"),
+            _ => s.push(ch),
+        }
+    }
 }
 
 /// Estimates the text color (black or white) with the best contrast against
@@ -298,6 +375,18 @@ pub fn contrasting_text(background: Color) -> Color {
 mod tests {
     use super::*;
     use crate::scene::Scene;
+
+    fn num(v: f64) -> String {
+        let mut s = String::new();
+        push_num(&mut s, v);
+        s
+    }
+
+    fn escape(text: &str) -> String {
+        let mut s = String::new();
+        push_escaped(&mut s, text);
+        s
+    }
 
     #[test]
     fn empty_scene_is_valid_svg() {
@@ -326,12 +415,24 @@ mod tests {
 
     #[test]
     fn number_formatting() {
-        assert_eq!(fmt_num(5.0), "5");
-        assert_eq!(fmt_num(5.5), "5.5");
-        assert_eq!(fmt_num(5.12345), "5.123");
-        assert_eq!(fmt_num(5.100), "5.1");
-        assert_eq!(fmt_num(f64::NAN), "0");
-        assert_eq!(fmt_num(-3.0), "-3");
+        assert_eq!(num(5.0), "5");
+        assert_eq!(num(5.5), "5.5");
+        assert_eq!(num(5.12345), "5.123");
+        assert_eq!(num(5.100), "5.1");
+        assert_eq!(num(f64::NAN), "0");
+        assert_eq!(num(-3.0), "-3");
+        // Exact ties round half-to-even; 1.0005 is stored just below its
+        // tie. Rounding v · 1000 in floating point gets both wrong.
+        assert_eq!(num(0.0625), "0.062");
+        assert_eq!(num(0.1875), "0.188");
+        assert_eq!(num(1.0005), "1");
+        assert_eq!(num(0.05), "0.05");
+        assert_eq!(num(-0.0004), "-0");
+        assert_eq!(num(-0.0), "0");
+        assert_eq!(num(f64::MIN_POSITIVE / 4.0), "0");
+        assert_eq!(num(1e15), "1000000000000000");
+        assert_eq!(num(-1e20), "-100000000000000000000");
+        assert_eq!(num(4503599627370495.5), "4503599627370495.5");
     }
 
     #[test]

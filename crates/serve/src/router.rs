@@ -7,7 +7,7 @@
 //! | `POST`   | `/sessions`                 | — → [`crate::session::SessionCreated`] |
 //! | `DELETE` | `/sessions/{id}`            | —                                    |
 //! | `POST`   | `/sessions/{id}/events`     | one [`Event`] as JSON, e.g. `{"SelectTimestamp": 46200}` |
-//! | `GET`    | `/sessions/{id}/render`     | `?format=svg\|ascii&width=&height=&cols=&rows=` |
+//! | `GET`    | `/sessions/{id}/render`     | `?format=svg\|ascii&width=&height=&cols=&rows=` (`cols`, `rows` ≤ 1000) |
 //! | `GET`    | `/sessions/{id}/frame`      | — → [`crate::session::FrameInfo`]    |
 //! | `GET`    | `/sessions/{id}/alerts`     | — → [`crate::session::AlertsPayload`] |
 //! | `GET`    | `/statsz`                   | — → [`crate::stats::StatszPayload`]  |
@@ -32,6 +32,11 @@ pub const FAILPOINT_ROUTE: &str = "serve.route";
 
 /// The header marking a response rendered from a last good frame.
 pub const STALE_HEADER: &str = "x-batchlens-stale";
+
+/// Largest `cols` or `rows` an ASCII render accepts. The canvas allocates
+/// `cols × rows` cells, and a failed allocation aborts the whole process
+/// (it is not a panic the worker's `catch_unwind` could contain).
+const MAX_ASCII_SIDE: usize = 1_000;
 
 /// Everything a routed request may need.
 pub struct RouterContext<'a> {
@@ -175,9 +180,14 @@ fn render(ctx: &RouterContext<'_>, req: &Request, id: u64) -> Response {
             }
         }
         "ascii" => {
-            let cols = num_param(req, "cols", 120.0).max(8.0) as usize;
-            let rows = num_param(req, "rows", 36.0).max(4.0) as usize;
-            match ctx.manager.render_ascii(id, cols, rows) {
+            let cols = num_param(req, "cols", 120.0).max(8.0);
+            let rows = num_param(req, "rows", 36.0).max(4.0);
+            if cols > MAX_ASCII_SIDE as f64 || rows > MAX_ASCII_SIDE as f64 {
+                return Response::bad_request(format!(
+                    "ascii cols and rows are limited to {MAX_ASCII_SIDE} each"
+                ));
+            }
+            match ctx.manager.render_ascii(id, cols as usize, rows as usize) {
                 Ok((text, stale)) => mark_stale(Response::ok_text(text), stale),
                 Err(e) => session_error(e),
             }
@@ -318,6 +328,35 @@ mod tests {
             route(&ctx, &get(&format!("/sessions/{id}/render?format=jpeg"))).status,
             400
         );
+    }
+
+    #[test]
+    fn oversized_ascii_renders_are_refused_with_the_limit() {
+        let (manager, stats) = ctx_fixture();
+        let ctx = RouterContext {
+            manager: &manager,
+            stats: &stats,
+            workers: 1,
+        };
+        let id = manager.create().session;
+        let ascii = |cols: &str, rows: &str| {
+            route(
+                &ctx,
+                &get(&format!(
+                    "/sessions/{id}/render?format=ascii&cols={cols}&rows={rows}"
+                )),
+            )
+        };
+        for (cols, rows) in [("100000", "100000"), ("1001", "24"), ("80", "1000.5")] {
+            let refused = ascii(cols, rows);
+            assert_eq!(refused.status, 400, "{cols}x{rows}");
+            assert!(String::from_utf8_lossy(&refused.body).contains("1000"));
+        }
+        let at_limit = ascii("1000", "1000");
+        assert_eq!(at_limit.status, 200);
+        let text = String::from_utf8_lossy(&at_limit.body);
+        assert_eq!(text.lines().count(), 1000);
+        assert!(text.lines().all(|line| line.chars().count() == 1000));
     }
 
     #[test]
