@@ -471,9 +471,8 @@ impl BatchLens {
     }
 
     /// The live anomaly overlay: the attached monitor's currently retained
-    /// typed [`crate::stream::Alert`]s (oldest first), without draining
-    /// them — polling renders can coexist with a draining consumer. Empty
-    /// when the overlay is off ([`crate::interaction::Event::ToggleAnomalies`])
+    /// typed [`crate::stream::Alert`]s (oldest first), the run a cursor
+    /// from 0 reads. Empty when the overlay is off ([`crate::interaction::Event::ToggleAnomalies`])
     /// or no monitor is attached. The streaming counterpart of
     /// [`BatchLens::cluster_anomalies`], fed by the same detector kernels.
     pub fn live_alerts(&self) -> Vec<crate::stream::Alert> {
@@ -482,7 +481,7 @@ impl BatchLens {
         }
         self.live
             .as_ref()
-            .map_or_else(Vec::new, |m| m.peek_alerts())
+            .map_or_else(Vec::new, |m| m.alerts_since(0).alerts)
     }
 
     /// The line-chart data for the selected job (or `None` when no job is
@@ -944,11 +943,11 @@ mod tests {
         assert!(!batch_snapshot.jobs.is_empty(), "scenario has running work");
         // The bubble chart renders straight off the live window.
         assert!(app.render_bubble(600.0, 600.0).contains("<circle"));
-        // Live alerts surface behind the anomaly toggle, undrained.
+        // Live alerts surface behind the anomaly toggle.
         assert!(app.live_alerts().is_empty(), "overlay off");
         app.apply(Event::ToggleAnomalies);
         let alerts = app.live_alerts();
-        assert_eq!(alerts, monitor.peek_alerts());
+        assert_eq!(alerts, monitor.alerts_since(0).alerts);
         // Detaching returns to batch-backed (and memoized) snapshots.
         let back = app.detach_live_monitor().expect("monitor attached");
         assert_eq!(

@@ -510,7 +510,7 @@ mod tests {
         assert!(restored.monitor_report.unwrap().reason.is_clean());
         assert_eq!(rm.state_version(), monitor.state_version());
         assert_eq!(rm.total_alerts(), monitor.total_alerts());
-        assert_eq!(rm.peek_alerts(), monitor.peek_alerts());
+        assert_eq!(rm.alerts_since(0), monitor.alerts_since(0));
         for t in [0, 150, 300] {
             assert_eq!(
                 rm.live_view().frame(Timestamp::new(t)),

@@ -115,7 +115,7 @@ impl Window {
 pub struct Alert {
     /// Monotonic firing sequence number, assigned when the alert is
     /// retained in the monitor's buffer: the `n`-th alert ever fired has
-    /// `seq == n` (0-based), independent of drains and overflow. Cursors
+    /// `seq == n` (0-based), independent of overflow. Cursors
     /// ([`StreamMonitor::alerts_since`]) position on this number.
     pub seq: u64,
     /// The machine the alert concerns.
@@ -148,9 +148,9 @@ impl Alert {
 /// everything at or after it, and advances the cursor to [`next_seq`].
 /// Nothing is removed from the buffer, so any number of independently
 /// positioned consumers can poll the same monitor without stealing each
-/// other's alerts. A cursor that lags behind eviction (buffer overflow or
-/// a destructive [`StreamMonitor::drain_alerts`] by another consumer)
-/// observes the gap in [`missed`] instead of silently skipping it.
+/// other's alerts. A cursor that lags behind eviction (buffer overflow,
+/// see [`StreamConfig::alert_capacity`]) observes the gap in [`missed`]
+/// instead of silently skipping it.
 ///
 /// [`next_seq`]: AlertBatch::next_seq
 /// [`missed`]: AlertBatch::missed
@@ -164,9 +164,8 @@ pub struct AlertBatch {
     /// again with this value returns only alerts fired in between.
     pub next_seq: u64,
     /// How many alerts with `seq >=` the requested cursor were already
-    /// gone from the buffer (evicted by overflow, or taken by a
-    /// destructive drain) — the lagging-cursor signal. Zero when the
-    /// cursor kept up.
+    /// evicted from the buffer by overflow — the lagging-cursor signal.
+    /// Zero when the cursor kept up.
     pub missed: u64,
 }
 
@@ -184,8 +183,8 @@ pub struct StreamConfig {
     pub cpu_decline: f64,
     /// Minimum `mem - cpu` gap for a sample to look thrashing.
     pub min_gap: f64,
-    /// How many fired alerts the monitor retains for
-    /// [`StreamMonitor::drain_alerts`]; beyond it the oldest are dropped
+    /// How many fired alerts the monitor retains for cursor reads
+    /// ([`StreamMonitor::alerts_since`]); beyond it the oldest are dropped
     /// (and counted in [`StreamMonitor::alerts_overflowed`]).
     pub alert_capacity: usize,
     /// How far behind a machine's newest sample an out-of-order usage
@@ -235,8 +234,7 @@ pub enum StreamConfigError {
         seconds: i64,
     },
     /// `alert_capacity` was zero: every fired alert would be dropped
-    /// unseen. Poll-style consumers need at least capacity 1; callers that
-    /// truly want no retention should drain instead.
+    /// before any cursor could read it.
     ZeroAlertCapacity,
 }
 
@@ -494,7 +492,8 @@ struct Inner {
     late_accepted: u64,
     ingested_instances: u64,
     ingested_events: u64,
-    /// Fired alerts retained for [`StreamMonitor::drain_alerts`], capped at
+    /// Fired alerts retained for cursor reads
+    /// ([`StreamMonitor::alerts_since`]), capped at
     /// [`StreamConfig::alert_capacity`] (oldest dropped first).
     alerts: VecDeque<Alert>,
     total_alerts: u64,
@@ -522,8 +521,7 @@ impl Inner {
         self.total_alerts - self.alerts.len() as u64
     }
 
-    /// The shared read that both [`StreamMonitor::alerts_since`] and the
-    /// destructive [`StreamMonitor::drain_alerts`] wrap: everything
+    /// The read behind [`StreamMonitor::alerts_since`]: everything
     /// retained at or after `seq`, plus cursor bookkeeping.
     fn alerts_from(&self, seq: u64) -> AlertBatch {
         let base = self.alert_base_seq();
@@ -685,7 +683,7 @@ impl DatasetQuery for Inner {
 
     fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
         // Counts over the retained alert buffer (the same alerts
-        // `drain_alerts`/`alerts_since` serve), so a frame's sidebar overlay
+        // `alerts_since` serves), so a frame's sidebar overlay
         // agrees exactly with the alert feed captured at the same version.
         let mut counts = vec![0u32; machines.len()];
         for alert in &self.alerts {
@@ -879,8 +877,14 @@ impl StreamMonitor {
                 self.instance_finished(job, task, seq, at);
             }
             WalRecord::MachineEvent(r) => self.ingest_machine_event(r),
+            // Written only by monitors from before alert cursors, whose
+            // destructive drain emptied the buffer. Replaying the marker
+            // empties it too, so an old log recovers exactly the alerts
+            // its writer had not handed out.
             WalRecord::AlertsDrained => {
-                self.drain_alerts();
+                let mut inner = self.inner.lock();
+                inner.log_wal([WalRecord::AlertsDrained]);
+                inner.alerts.clear();
             }
             WalRecord::EpochSealed(version) => self.seal_epoch(version),
         }
@@ -1299,44 +1303,10 @@ impl StreamMonitor {
         self.inner.lock().version
     }
 
-    /// Number of alerts currently retained in the buffer — O(1), no clone;
-    /// the cheap per-frame probe an overlay should use to decide whether
-    /// anything new fired before asking for the alerts themselves.
-    pub fn alerts_len(&self) -> usize {
-        self.inner.lock().alerts.len()
-    }
-
-    /// Takes every retained alert out of the buffer (oldest first),
-    /// leaving it empty. Each alert is handed out exactly once, so a
-    /// per-frame consumer pays for new alerts only — never for a clone of
-    /// the full history.
-    ///
-    /// This is the destructive single-consumer path: a thin wrapper around
-    /// the same buffer read as [`StreamMonitor::alerts_since`], plus
-    /// clearing. Multiple concurrent consumers should hold cursors and use
-    /// `alerts_since` instead — a drain makes every other cursor observe
-    /// the taken alerts as [`AlertBatch::missed`].
-    pub fn drain_alerts(&self) -> Vec<Alert> {
-        let mut inner = self.inner.lock();
-        // Draining an empty buffer mutates nothing, so it is not logged:
-        // an idle poller must not grow the log (or force rotation and
-        // compaction churn) by polling.
-        if inner.alerts.is_empty() {
-            return Vec::new();
-        }
-        // Non-empty drains mutate recoverable state (the buffer empties),
-        // so they are logged — otherwise a recovered monitor would
-        // re-surface alerts the pre-crash consumer already took.
-        inner.log_wal([WalRecord::AlertsDrained]);
-        let batch = inner.alerts_from(inner.alert_base_seq());
-        inner.alerts.clear();
-        batch.alerts
-    }
-
     /// Non-destructive cursor read: every retained alert with `seq >= seq`
     /// (oldest first), the cursor position for the next poll, and how many
-    /// alerts the cursor missed because they were evicted or drained before
-    /// it got there. O(returned) clone; the buffer is left intact, so any
+    /// alerts the cursor missed because they were evicted before it got
+    /// there. O(returned) clone; the buffer is left intact, so any
     /// number of independently positioned consumers can poll concurrently.
     ///
     /// Start a fresh cursor at 0 to see everything still retained (alerts
@@ -1354,16 +1324,7 @@ impl StreamMonitor {
         self.inner.lock().total_alerts
     }
 
-    /// A copy of the currently retained alerts (oldest first) **without**
-    /// draining them — O(len) clone. Overlays that must keep the buffer
-    /// intact for another consumer use this; a single consumer should
-    /// prefer [`StreamMonitor::drain_alerts`], which hands each alert out
-    /// exactly once.
-    pub fn peek_alerts(&self) -> Vec<Alert> {
-        self.inner.lock().alerts.iter().copied().collect()
-    }
-
-    /// Total alerts fired since construction (drained or not).
+    /// Total alerts fired since construction (retained or evicted).
     pub fn total_alerts(&self) -> u64 {
         self.inner.lock().total_alerts
     }
@@ -1383,7 +1344,7 @@ impl StreamMonitor {
             .count() as u32
     }
 
-    /// Alerts evicted because the buffer was full before a drain (see
+    /// Alerts evicted because the buffer was full (see
     /// [`StreamConfig::alert_capacity`]).
     pub fn alerts_overflowed(&self) -> u64 {
         self.inner.lock().alerts_overflowed
@@ -1702,25 +1663,6 @@ mod tests {
     }
 
     #[test]
-    fn alert_buffer_drains_once() {
-        let m = StreamMonitor::new(StreamConfig::default()).unwrap();
-        m.ingest(rec(1, 0, 0.95, 0.3, 0.3));
-        m.ingest(rec(1, 60, 0.97, 0.3, 0.3));
-        assert_eq!(m.alerts_len(), 2);
-        assert_eq!(m.total_alerts(), 2);
-        let drained = m.drain_alerts();
-        assert_eq!(drained.len(), 2);
-        assert!(drained[0].at < drained[1].at, "oldest first");
-        // Second drain hands out nothing: each alert is delivered once.
-        assert_eq!(m.alerts_len(), 0);
-        assert!(m.drain_alerts().is_empty());
-        assert_eq!(m.total_alerts(), 2);
-        // New alerts keep flowing into the emptied buffer.
-        m.ingest(rec(1, 120, 0.99, 0.3, 0.3));
-        assert_eq!(m.alerts_len(), 1);
-    }
-
-    #[test]
     fn alert_buffer_caps_and_counts_overflow() {
         let cfg = StreamConfig {
             alert_capacity: 3,
@@ -1730,12 +1672,14 @@ mod tests {
         for i in 0..10 {
             m.ingest(rec(1, i * 60, 0.95, 0.3, 0.3));
         }
-        assert_eq!(m.alerts_len(), 3);
+        let all = m.alerts_since(0);
+        assert_eq!(all.alerts.len(), 3);
         assert_eq!(m.total_alerts(), 10);
         assert_eq!(m.alerts_overflowed(), 7);
+        assert_eq!(all.missed, 7, "a cursor from 0 sees the overflow as missed");
+        assert_eq!(all.next_seq, m.total_alerts());
         // The retained alerts are the most recent three.
-        let drained = m.drain_alerts();
-        assert_eq!(drained[0].at, Timestamp::new(7 * 60));
+        assert_eq!(all.alerts[0].at, Timestamp::new(7 * 60));
 
         // Capacity 0 is rejected at construction: a monitor that silently
         // discards every alert is a misconfiguration, not a mode.
@@ -1747,64 +1691,9 @@ mod tests {
         assert_eq!(err, StreamConfigError::ZeroAlertCapacity);
     }
 
-    /// PR 3's alert buffer accounting, under interleaved drains and
-    /// overflow: every fired alert is exactly one of delivered (drained),
-    /// retained, or overflowed — at every step.
-    #[test]
-    fn alert_buffer_invariants_under_interleaved_drains() {
-        let m = StreamMonitor::new(StreamConfig {
-            alert_capacity: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut delivered = 0u64;
-        let mut t = 0i64;
-        let mut fire = |m: &StreamMonitor, n: usize| {
-            for _ in 0..n {
-                assert_eq!(m.ingest(rec(1, t, 0.95, 0.3, 0.3)).len(), 1);
-                t += 60;
-            }
-        };
-        let check = |m: &StreamMonitor, delivered: u64| {
-            assert_eq!(
-                m.total_alerts(),
-                delivered + m.alerts_len() as u64 + m.alerts_overflowed(),
-                "delivered + retained + overflowed must account for every alert"
-            );
-        };
-        fire(&m, 3); // one overflows
-        assert_eq!((m.alerts_len(), m.alerts_overflowed()), (2, 1));
-        check(&m, delivered);
-        let d = m.drain_alerts();
-        assert_eq!(d.len(), 2);
-        // The retained two are the *newest* two (oldest evicted first).
-        assert_eq!(d[0].at, Timestamp::new(60));
-        delivered += d.len() as u64;
-        check(&m, delivered);
-        // Drain on empty delivers nothing and changes no counter.
-        assert!(m.drain_alerts().is_empty());
-        check(&m, delivered);
-        fire(&m, 1); // refills without overflow
-        assert_eq!((m.alerts_len(), m.alerts_overflowed()), (1, 1));
-        check(&m, delivered);
-        fire(&m, 4); // three more overflow
-        assert_eq!((m.alerts_len(), m.alerts_overflowed()), (2, 4));
-        check(&m, delivered);
-        delivered += m.drain_alerts().len() as u64;
-        check(&m, delivered);
-        assert_eq!(m.total_alerts(), 8);
-        assert_eq!(delivered, 4);
-        // peek never consumes: two peeks and a drain agree.
-        fire(&m, 2);
-        let peeked = m.peek_alerts();
-        assert_eq!(peeked, m.peek_alerts());
-        assert_eq!(peeked, m.drain_alerts());
-        check(&m, delivered + 2);
-    }
-
     /// PR 7's non-destructive cursors: independently positioned
     /// `alerts_since` readers see every alert exactly once, never steal
-    /// from each other, and observe eviction/drain gaps as `missed`.
+    /// from each other, and observe eviction gaps as `missed`.
     #[test]
     fn alert_cursors_are_independent_and_observe_gaps() {
         let m = StreamMonitor::new(StreamConfig {
@@ -1822,9 +1711,6 @@ mod tests {
         };
         assert_eq!(m.next_alert_seq(), 0);
         fire(&m, 3); // seqs 0,1,2 — seq 0 evicted (capacity 2)
-                     // Ingest's return value carries the stamped sequence numbers.
-        let last = m.peek_alerts();
-        assert_eq!(last.iter().map(|a| a.seq).collect::<Vec<_>>(), vec![1, 2]);
 
         // A cursor from the beginning sees the retained run and the gap.
         let a = m.alerts_since(0);
@@ -1845,29 +1731,25 @@ mod tests {
         assert_eq!(a2.alerts.iter().map(|x| x.seq).collect::<Vec<_>>(), [3]);
         assert_eq!(a2.missed, 0);
 
-        // A destructive drain (thin wrapper over the same read) empties the
-        // buffer; lagging cursors afterwards observe the taken alerts as
-        // missed rather than seeing them twice.
-        let drained = m.drain_alerts();
-        assert_eq!(
-            drained.iter().map(|x| x.seq).collect::<Vec<_>>(),
-            [2, 3],
-            "drain delivers the same contiguous run a cursor would"
-        );
-        let c = m.alerts_since(2);
-        assert!(c.alerts.is_empty());
-        assert_eq!(c.missed, 2);
-        assert_eq!(c.next_seq, 4);
+        // Cursor `a` polled seq 3 before it was evicted and kept up. A
+        // cursor still at `a.next_seq` lags: it observes the evicted seq 3
+        // as missed instead of skipping it silently.
+        fire(&m, 2); // seqs 4, 5; buffer now [4, 5]
+        let c = m.alerts_since(a2.next_seq);
+        assert_eq!(c.alerts.iter().map(|x| x.seq).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(c.missed, 0);
+        let lagging = m.alerts_since(a.next_seq);
+        assert_eq!(lagging.alerts, c.alerts);
+        assert_eq!(lagging.missed, 1);
+        assert_eq!(lagging.next_seq, 6);
         // A cursor positioned past everything fired so far sees nothing.
         let future = m.alerts_since(100);
         assert!(future.alerts.is_empty());
         assert_eq!(future.missed, 0);
         // The accounting invariant is untouched by cursor reads:
-        // total(4) == delivered(2) + retained(0) + overflowed(2).
-        assert_eq!(
-            m.total_alerts(),
-            2 + m.alerts_len() as u64 + m.alerts_overflowed()
-        );
+        // total(6) == retained(2) + overflowed(4).
+        assert_eq!(m.total_alerts(), 2 + m.alerts_overflowed());
+        assert_eq!(m.alerts_overflowed(), 4);
     }
 
     #[test]
@@ -2317,9 +2199,7 @@ mod tests {
             mem_avg: 0.3,
             mem_max: 0.5,
         });
-        let drained = m.drain_alerts();
-        assert_eq!(drained.len(), 1);
-        m.ingest(rec(2, 90, 0.97, 0.3, 0.3)); // a second alert, left undrained
+        m.ingest(rec(2, 90, 0.97, 0.3, 0.3)); // a second alert
         m.instance_finished(JobId::new(1), TaskId::new(1), 0, Timestamp::new(80));
         m.ingest_machine_event(MachineEventRecord {
             time: Timestamp::new(70),
@@ -2335,7 +2215,7 @@ mod tests {
 
         let (r, report) = StreamMonitor::recover(&dir, StreamConfig::default()).unwrap();
         assert!(report.reason.is_clean(), "{:?}", report.reason);
-        assert_eq!(report.records_replayed, 10);
+        assert_eq!(report.records_replayed, 9);
         assert_eq!(report.bytes_discarded, 0);
 
         let m = StreamMonitor::new(StreamConfig::default()).unwrap();
@@ -2366,7 +2246,6 @@ mod tests {
             mem_avg: 0.3,
             mem_max: 0.5,
         });
-        m.drain_alerts();
         m.ingest(rec(2, 90, 0.97, 0.3, 0.3));
         m.instance_finished(JobId::new(1), TaskId::new(1), 0, Timestamp::new(80));
         m.ingest_machine_event(MachineEventRecord {
@@ -2385,7 +2264,7 @@ mod tests {
         assert_eq!(r.ingested_instances(), m.ingested_instances());
         assert_eq!(r.ingested_events(), m.ingested_events());
         assert_eq!(r.total_alerts(), m.total_alerts());
-        assert_eq!(r.peek_alerts(), m.peek_alerts());
+        assert_eq!(r.alerts_since(0), m.alerts_since(0));
         for t in [0, 30, 60, 70, 90] {
             assert_eq!(
                 r.live_view().frame(Timestamp::new(t)),
@@ -2453,46 +2332,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Total bytes across every file in a WAL directory.
-    fn dir_bytes(dir: &std::path::Path) -> u64 {
-        std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().metadata().unwrap().len())
-            .sum()
-    }
-
+    /// A log written before alert cursors replaced the destructive drain
+    /// may hold `AlertsDrained` markers. It still recovers exactly: the
+    /// marker empties the retained buffer, as the drain did, so alerts
+    /// its writer had handed out are not served again.
     #[test]
-    fn empty_drains_append_nothing_to_the_wal() {
-        // Regression: `drain_alerts` used to log an `AlertsDrained` marker
-        // unconditionally, so an idle poller draining an empty buffer grew
-        // the log without bound between checkpoints.
+    fn legacy_drain_marker_replays_as_a_drain() {
         use batchlens_trace::wal::{WalConfig, WalWriter};
-        let dir = temp_wal_dir("empty-drain");
-        let m = StreamMonitor::new(StreamConfig::default()).unwrap();
-        m.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
-        m.ingest(rec(1, 0, 0.3, 0.3, 0.3));
-        m.sync_wal();
-        let before = dir_bytes(&dir);
-        for _ in 0..64 {
-            assert!(m.drain_alerts().is_empty());
+        let firing = |m: u32, t: i64| WalRecord::Usage(rec(m, t, 0.95, 0.3, 0.3));
+        let legacy = [
+            firing(1, 0),
+            firing(1, 60),
+            firing(2, 0),
+            WalRecord::AlertsDrained,
+            firing(1, 120),
+            firing(2, 60),
+        ];
+        let dir = temp_wal_dir("legacy-drain");
+        let mut w = WalWriter::open(&dir, WalConfig::default()).unwrap();
+        for record in &legacy {
+            w.append(record).unwrap();
         }
-        m.sync_wal();
-        assert_eq!(
-            dir_bytes(&dir),
-            before,
-            "64 empty drains must not grow the log by a single byte"
-        );
-        // A non-empty drain still logs its marker (durable consumption).
-        m.ingest(rec(1, 60, 0.95, 0.3, 0.3));
-        assert_eq!(m.drain_alerts().len(), 1);
-        m.sync_wal();
-        assert!(dir_bytes(&dir) > before);
-        assert_eq!(m.wal_errors(), 0);
-        drop(m.detach_wal());
+        drop(w);
+
         let (r, report) = StreamMonitor::recover(&dir, StreamConfig::default()).unwrap();
         assert!(report.reason.is_clean(), "{:?}", report.reason);
-        assert_eq!(r.alerts_len(), 0, "replay reproduces the drained state");
+        assert_eq!(report.records_replayed, legacy.len() as u64);
+        let all = r.alerts_since(0);
+        assert_eq!(all.alerts.iter().map(|a| a.seq).collect::<Vec<_>>(), [3, 4]);
+        assert_eq!(all.missed, 3, "the pre-marker alerts were handed out");
+        assert_eq!(all.next_seq, 5);
+        assert_eq!(r.total_alerts(), 5);
+        // The frame's counts cover the retained alerts only.
+        let frame = r.live_view().frame(Timestamp::new(120));
+        assert_eq!(frame.anomaly_count(MachineId::new(1)), 1);
+        assert_eq!(frame.anomaly_count(MachineId::new(2)), 1);
+
+        // Replayed into a logged monitor, the marker is logged again, so
+        // the new log recovers the same retained run.
+        let relog = temp_wal_dir("legacy-drain-relog");
+        let m = StreamMonitor::new(StreamConfig::default()).unwrap();
+        m.attach_wal(WalWriter::open(&relog, WalConfig::default()).unwrap());
+        for record in legacy {
+            m.apply_replayed(record);
+        }
+        drop(m.detach_wal());
+        let (again, _) = StreamMonitor::recover(&relog, StreamConfig::default()).unwrap();
+        assert_eq!(again.alerts_since(0), all);
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&relog).ok();
     }
 
     #[test]
@@ -2627,7 +2515,7 @@ mod tests {
         assert_eq!(r.sealed_epoch(), Some(2), "epoch frontier survives replay");
         assert_eq!(r.state_version(), m.state_version());
         assert_eq!(r.ingested(), m.ingested());
-        assert_eq!(r.peek_alerts(), m.peek_alerts());
+        assert_eq!(r.alerts_since(0), m.alerts_since(0));
         assert_eq!(
             r.series(MachineId::new(1), Metric::Cpu),
             m.series(MachineId::new(1), Metric::Cpu)

@@ -10,8 +10,7 @@ use batchlens::stream::{AlertBatch, StreamMonitor};
 ///
 /// * **Non-destructive.** Polling never consumes from the monitor: it
 ///   reads via [`StreamMonitor::alerts_since`], so any number of cursors
-///   (and a separate draining consumer) coexist without stealing each
-///   other's alerts.
+///   coexist without stealing each other's alerts.
 /// * **Exactly-once per cursor.** The cursor remembers the next sequence
 ///   number it has not yet seen and advances it to the batch's
 ///   `next_seq` on every poll: each alert the monitor ever retains is

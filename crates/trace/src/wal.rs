@@ -1,13 +1,15 @@
 //! Write-ahead log: checksummed, length-prefixed binary record framing with
 //! segment rotation — the durability substrate of the streaming monitor.
 //!
-//! Every mutation the live monitor accepts for processing (usage sample,
-//! instance open/close, machine event, alert drain) is encoded as one
-//! [`WalRecord`] and appended as one *frame* before it is applied. Because
-//! the monitor is deterministic — its out-of-order acceptance decisions
-//! depend only on the records delivered before — replaying the log
-//! reproduces the pre-crash state **bit-identically**: every counter, every
-//! window sample, every detector kernel state, every buffered alert.
+//! Every delivery the live monitor accepts for processing (usage sample,
+//! instance record, instance open/close, machine event) is encoded as one
+//! [`WalRecord`] and appended as one *frame* before it is applied; a
+//! sealed epoch appends its records and an [`WalRecord::EpochSealed`]
+//! marker as one group. Because the monitor is deterministic — its
+//! out-of-order acceptance decisions depend only on the records delivered
+//! before — replaying the log reproduces the pre-crash state
+//! **bit-identically**: every counter, every window sample, every detector
+//! kernel state, every buffered alert.
 //!
 //! ## Frame format
 //!
@@ -210,8 +212,10 @@ pub enum WalRecord {
     },
     /// A delivered machine lifecycle event ([`MachineEventRecord`]).
     MachineEvent(MachineEventRecord),
-    /// The alert buffer was drained (`drain_alerts`). Logged so the
-    /// recovered buffer holds exactly the not-yet-drained alerts.
+    /// The alert buffer was emptied by a destructive drain. No monitor
+    /// writes this marker any more (alerts are read through cursors), but
+    /// logs written before the change hold it: replay empties the buffer,
+    /// so such a log recovers exactly the alerts its writer still held.
     AlertsDrained,
     /// Every record of the ingestion epoch with this monotonic batch
     /// version precedes this marker in the log: `ingest_batch` writes it

@@ -142,7 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(rebuilt.stale_dropped(), live.stale_dropped());
     assert_eq!(rebuilt.late_accepted(), live.late_accepted());
     assert_eq!(rebuilt.total_alerts(), live.total_alerts());
-    assert_eq!(rebuilt.peek_alerts(), live.peek_alerts());
+    assert_eq!(rebuilt.alerts_since(0), live.alerts_since(0));
     for probe in [span.start(), mid, span.end()] {
         assert_eq!(
             rebuilt.live_view().frame(probe),

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut first_thrash = None;
     let mut missed = 0u64;
     // A non-destructive cursor over the alert sequence: `alerts_since`
-    // reads from a remembered position instead of draining, so any number
+    // reads from a remembered position and removes nothing, so any number
     // of consumers (this one, a serving layer's sessions) could coexist.
     // Lagging behind the bounded retention shows up as `missed`, never as
     // silent loss.

@@ -67,7 +67,7 @@ fn assert_equal_state(
     prop_assert_eq!(batched.stale_dropped(), serial.stale_dropped());
     prop_assert_eq!(batched.late_accepted(), serial.late_accepted());
     prop_assert_eq!(batched.tracked_machines(), serial.tracked_machines());
-    prop_assert_eq!(batched.peek_alerts(), serial.peek_alerts());
+    prop_assert_eq!(batched.alerts_since(0), serial.alerts_since(0));
     prop_assert_eq!(batched.total_alerts(), serial.total_alerts());
     prop_assert_eq!(batched.next_alert_seq(), serial.next_alert_seq());
     let w = TimeRange::new(Timestamp::new(-500), Timestamp::new(12_000)).unwrap();

@@ -55,40 +55,30 @@ const MACHINES: u32 = 5;
 enum Delivery {
     Usage(ServerUsageRecord),
     Instance(BatchInstanceRecord),
-    Drain,
     /// A sealed epoch through `ingest_batch`: one group write.
     Epoch(Batch),
 }
 
-/// Applies one delivery and returns how many WAL appends it attempts.
-/// Usage and instance records always log; a drain logs only when it
-/// actually drains something — an empty drain mutates nothing and (since
-/// the empty-drain fix) appends nothing, so it contributes no log record.
-/// An epoch logs its records and its seal as one group append.
-fn apply(monitor: &StreamMonitor, d: &Delivery) -> usize {
+/// Applies one delivery. Each delivery attempts exactly one WAL append:
+/// a usage or instance record logs one frame, and an epoch logs its
+/// records and its seal as one group.
+fn apply(monitor: &StreamMonitor, d: &Delivery) {
     match d {
         Delivery::Usage(r) => {
             monitor.ingest(*r);
-            1
         }
-        Delivery::Instance(r) => {
-            monitor.ingest_instance(*r);
-            1
-        }
-        Delivery::Drain => usize::from(!monitor.drain_alerts().is_empty()),
+        Delivery::Instance(r) => monitor.ingest_instance(*r),
         Delivery::Epoch(batch) => {
             monitor.ingest_batch(batch);
-            1
         }
     }
 }
 
-/// The log records a logged delivery appends, in log order.
+/// The log records a delivery appends, in log order.
 fn log_records(d: &Delivery) -> Vec<WalRecord> {
     match d {
         Delivery::Usage(r) => vec![WalRecord::Usage(*r)],
         Delivery::Instance(r) => vec![WalRecord::Instance(*r)],
-        Delivery::Drain => vec![WalRecord::AlertsDrained],
         Delivery::Epoch(batch) => batch
             .records
             .iter()
@@ -117,7 +107,7 @@ fn splitmix(state: &mut u64) -> u64 {
 }
 
 /// A deterministic delivery soup: mostly usage samples (some of them late
-/// or stale), a few instances, the odd alert drain.
+/// or stale) and a few instances.
 fn gen_deliveries(seed: u64, n: usize) -> Vec<Delivery> {
     let mut s = seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
     (0..n)
@@ -125,13 +115,13 @@ fn gen_deliveries(seed: u64, n: usize) -> Vec<Delivery> {
             let r = splitmix(&mut s);
             let t = Timestamp::new((r % 4_000) as i64);
             let machine = MachineId::new(((r >> 16) as u32) % MACHINES);
-            match r % 10 {
+            match r % 9 {
                 0..=6 => Delivery::Usage(ServerUsageRecord {
                     time: t,
                     machine,
                     util: UtilizationTriple::clamped(((r >> 8) % 1_000) as f64 / 1_000.0, 0.3, 0.2),
                 }),
-                7 | 8 => Delivery::Instance(BatchInstanceRecord {
+                _ => Delivery::Instance(BatchInstanceRecord {
                     start_time: t,
                     end_time: t + TimeDelta::seconds(600),
                     job: JobId::new(((r >> 20) as u32) % 4),
@@ -145,16 +135,14 @@ fn gen_deliveries(seed: u64, n: usize) -> Vec<Delivery> {
                     mem_avg: 0.3,
                     mem_max: 0.5,
                 }),
-                _ => Delivery::Drain,
             }
         })
         .collect()
 }
 
 /// The same delivery soup with its usage samples sealed into epochs of
-/// 1–12 records by one sequencer; instance records and drains stay
-/// one-record calls between the epochs, as structural deliveries do in
-/// live ingest.
+/// 1–12 records by one sequencer; instance records stay one-record calls
+/// between the epochs, as structural deliveries do in live ingest.
 fn gen_epoch_deliveries(seed: u64, n: usize) -> Vec<Delivery> {
     fn seal(
         sequencer: &BatchSequencer,
@@ -216,7 +204,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn reference(deliveries: &[Delivery]) -> StreamMonitor {
     let monitor = StreamMonitor::new(stream_config()).unwrap();
     for d in deliveries {
-        let _ = apply(&monitor, d);
+        apply(&monitor, d);
     }
     monitor
 }
@@ -247,7 +235,7 @@ fn assert_same_monitor(a: &StreamMonitor, b: &StreamMonitor, ctx: &str) {
         "ingested_instances ({ctx})"
     );
     assert_eq!(a.total_alerts(), b.total_alerts(), "total_alerts ({ctx})");
-    assert_eq!(a.peek_alerts(), b.peek_alerts(), "alert buffer ({ctx})");
+    assert_eq!(a.alerts_since(0), b.alerts_since(0), "alert buffer ({ctx})");
     let (va, vb) = (a.live_view(), b.live_view());
     assert_eq!(va.machine_ids(), vb.machine_ids(), "machine_ids ({ctx})");
     for t in (0i64..4_200).step_by(311).map(Timestamp::new) {
@@ -301,15 +289,12 @@ fn wal_disk_error_storms_recover_bit_identical() {
         let deliveries = gen_deliveries(seed, 400);
         // Track which deliveries' appends survived by watching the site's
         // fired counter around each one (deliveries are applied serially).
-        // No-op deliveries (empty drains) append nothing and mutate
-        // nothing, so they are excluded: `survived` stays 1:1 with the
-        // records the log holds.
         let mut survived = Vec::new();
         for d in &deliveries {
             let before = batchlens_fault::site_stats(FAILPOINT_APPEND).map_or(0, |s| s.fired);
-            let appends = apply(&monitor, d);
+            apply(&monitor, d);
             let after = batchlens_fault::site_stats(FAILPOINT_APPEND).map_or(0, |s| s.fired);
-            if after == before && appends > 0 {
+            if after == before {
                 survived.push(d.clone());
             }
         }
@@ -359,23 +344,12 @@ fn torn_writes_recover_to_the_surviving_prefix_and_resume() {
         let monitor = StreamMonitor::new(stream_config()).unwrap();
         monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
         let deliveries = gen_deliveries(tear_at, 80);
-        // Empty drains append nothing, so the Nth *append* no longer lands
-        // on the Nth delivery: track the pre-tear logged prefix and the
-        // delivery during which the torn write fired.
-        let mut logged_prefix = Vec::new();
-        let mut tear_idx = None;
-        for (i, d) in deliveries.iter().enumerate() {
-            let before = batchlens_fault::site_stats(FAILPOINT_APPEND).map_or(0, |s| s.fired);
-            let appends = apply(&monitor, d);
-            let fired =
-                batchlens_fault::site_stats(FAILPOINT_APPEND).map_or(0, |s| s.fired) > before;
-            if fired && tear_idx.is_none() {
-                tear_idx = Some(i);
-            } else if tear_idx.is_none() && appends > 0 {
-                logged_prefix.push(d.clone());
-            }
+        for d in &deliveries {
+            apply(&monitor, d);
         }
-        let tear_idx = tear_idx.expect("the torn write must fire");
+        // Every delivery is one append, so the Nth append is delivery N.
+        let tear_idx = tear_at as usize;
+        let logged_prefix = &deliveries[..tear_idx];
         drop(monitor.detach_wal());
         let stats = disarm(FAILPOINT_APPEND).expect("site was armed");
         assert_eq!(stats.fired, 1, "exactly one torn write");
@@ -393,7 +367,7 @@ fn torn_writes_recover_to_the_surviving_prefix_and_resume() {
         );
         assert_same_monitor(
             &recovered,
-            &reference(&logged_prefix),
+            &reference(logged_prefix),
             &format!("tear at {tear_at}"),
         );
 
@@ -402,7 +376,7 @@ fn torn_writes_recover_to_the_surviving_prefix_and_resume() {
         // never-crashed reference.
         recovered.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
         for d in &deliveries[tear_idx..] {
-            let _ = apply(&recovered, d);
+            apply(&recovered, d);
         }
         drop(recovered.detach_wal());
         assert_eq!(recovered.wal_errors(), 0, "resumed logging is clean");
@@ -447,7 +421,7 @@ fn wal_disk_error_storms_over_epochs_recover_bit_identical() {
         let mut survived = Vec::new();
         for d in &deliveries {
             let (fired_before, errors_before) = (fired(), monitor.wal_errors());
-            let appends = apply(&monitor, d);
+            apply(&monitor, d);
             let fired_now = fired() - fired_before;
             assert!(fired_now <= 1, "a delivery is at most one write");
             assert_eq!(
@@ -455,7 +429,7 @@ fn wal_disk_error_storms_over_epochs_recover_bit_identical() {
                 fired_now,
                 "each fired fault counts exactly once (seed {seed})"
             );
-            if fired_now == 0 && appends > 0 {
+            if fired_now == 0 {
                 survived.push(d.clone());
             } else if matches!(d, Delivery::Epoch(_)) {
                 failed_epochs += 1;
@@ -526,9 +500,8 @@ fn torn_epoch_writes_keep_their_whole_frames_and_resume() {
         monitor.attach_wal(WalWriter::open(&dir, WalConfig::default()).unwrap());
         let mut logged = Vec::new();
         for d in &deliveries[..tear_idx] {
-            if apply(&monitor, d) > 0 {
-                logged.extend(log_records(d));
-            }
+            apply(&monitor, d);
+            logged.extend(log_records(d));
         }
         arm(
             FAILPOINT_APPEND,
@@ -603,15 +576,13 @@ fn env_armed_wal_schedule_holds_invariants() {
     };
     monitor.attach_wal(WalWriter::open(&dir, wal_cfg).unwrap());
     let deliveries = gen_deliveries(9, 300);
-    // A delivery survived iff it attempted an append (empty drains log
-    // and mutate nothing, so they are excluded — `survived` stays 1:1
-    // with log records) and the append raised no WAL error (delay faults
-    // fire without erroring; the delivery still lands in the log).
+    // A delivery survived iff its append raised no WAL error (delay
+    // faults fire without erroring; the delivery still lands in the log).
     let mut survived = Vec::new();
     for d in &deliveries {
         let before = monitor.wal_errors();
-        let appends = apply(&monitor, d);
-        if appends > 0 && monitor.wal_errors() == before {
+        apply(&monitor, d);
+        if monitor.wal_errors() == before {
             survived.push(d.clone());
         }
     }
@@ -668,8 +639,8 @@ fn env_armed_wal_schedule_over_epochs_holds_invariants() {
     let mut survived = Vec::new();
     for d in &deliveries {
         let before = monitor.wal_errors();
-        let appends = apply(&monitor, d);
-        if appends > 0 && monitor.wal_errors() == before {
+        apply(&monitor, d);
+        if monitor.wal_errors() == before {
             survived.extend(log_records(d));
         }
     }

@@ -175,6 +175,8 @@ fn wal_record_strategy() -> impl Strategy<Value = WalRecord> {
                     capacity_mem: frac,
                     capacity_disk: frac * 2.0,
                 }),
+                // Tag 6: no monitor writes it any more, but logs written
+                // before alert cursors hold it and must still decode.
                 _ => WalRecord::AlertsDrained,
             }
         })

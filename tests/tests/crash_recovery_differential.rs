@@ -5,8 +5,8 @@
 //! the deliveries whose frames survived intact.
 //!
 //! Each case generates a random delivery soup (usage samples with stale
-//! re-deliveries, closed instances, open/close pairs, machine events, alert
-//! drains), streams it into a logged monitor, then for random kill offsets
+//! re-deliveries, closed instances, open/close pairs, machine events),
+//! streams it into a logged monitor, then for random kill offsets
 //! truncates a copy of the log at that byte and recovers. The recovered
 //! monitor's full surface — every [`DatasetQuery`] method through the live
 //! view, `frame()`, the alert buffer, every counter — is compared against
@@ -38,44 +38,32 @@ enum Delivery {
     Started(JobId, TaskId, u32, MachineId, Timestamp),
     Finished(JobId, TaskId, u32, Timestamp),
     Event(MachineEventRecord),
-    Drain,
 }
 
-/// Applies one delivery and returns how many WAL frames it writes. Every
-/// mutation logs one frame except a drain of an empty buffer, which (since
-/// the empty-drain fix) mutates nothing and appends nothing.
-fn apply(monitor: &StreamMonitor, d: &Delivery) -> usize {
+/// Applies one delivery. Every delivery writes exactly one WAL frame, so
+/// frame `k` of the log is delivery `k`.
+fn apply(monitor: &StreamMonitor, d: &Delivery) {
     match d {
         Delivery::Usage(r) => {
             monitor.ingest(*r);
-            1
         }
-        Delivery::Instance(r) => {
-            monitor.ingest_instance(*r);
-            1
-        }
+        Delivery::Instance(r) => monitor.ingest_instance(*r),
         Delivery::Started(job, task, seq, machine, at) => {
             monitor.instance_started(*job, *task, *seq, *machine, *at);
-            1
         }
         Delivery::Finished(job, task, seq, at) => {
             monitor.instance_finished(*job, *task, *seq, *at);
-            1
         }
-        Delivery::Event(r) => {
-            monitor.ingest_machine_event(*r);
-            1
-        }
-        Delivery::Drain => usize::from(!monitor.drain_alerts().is_empty()),
+        Delivery::Event(r) => monitor.ingest_machine_event(*r),
     }
 }
 
 /// One random delivery. The vendored proptest has no `prop_oneof!`, so a
-/// selector field picks the variant with usage weighted heaviest (6/12),
-/// instances 2/12 and the rest 1/12 each — roughly a live feed's mix.
+/// selector field picks the variant with usage weighted heaviest (6/11),
+/// instances 2/11 and the rest 1/11 each — roughly a live feed's mix.
 fn delivery_strategy() -> impl Strategy<Value = Delivery> {
     (
-        0u8..12,
+        0u8..11,
         0u32..8,
         0i64..4_000,
         0i64..2_000,
@@ -108,7 +96,7 @@ fn delivery_strategy() -> impl Strategy<Value = Delivery> {
                 }),
                 8 => Delivery::Started(job, task, e, machine, Timestamp::new(t)),
                 9 => Delivery::Finished(job, task, e, Timestamp::new(t + dur)),
-                10 => Delivery::Event(MachineEventRecord {
+                _ => Delivery::Event(MachineEventRecord {
                     time: Timestamp::new(t),
                     machine,
                     event: match e % 4 {
@@ -121,7 +109,6 @@ fn delivery_strategy() -> impl Strategy<Value = Delivery> {
                     capacity_mem: 1.0,
                     capacity_disk: 1.0,
                 }),
-                _ => Delivery::Drain,
             }
         })
 }
@@ -149,44 +136,22 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Streams every delivery into a fresh WAL-attached monitor logging to
 /// `dir`, then detaches (flushing) and asserts the log never errored.
-/// Also returns the indices of the deliveries that wrote a WAL frame
-/// (empty drains write none), so frame counts map back to delivery
-/// positions.
-fn run_logged(
-    deliveries: &[Delivery],
-    wal_cfg: WalConfig,
-    dir: &Path,
-) -> (StreamMonitor, Vec<usize>) {
+fn run_logged(deliveries: &[Delivery], wal_cfg: WalConfig, dir: &Path) -> StreamMonitor {
     let monitor = StreamMonitor::new(config()).unwrap();
     monitor.attach_wal(WalWriter::open(dir, wal_cfg).unwrap());
-    let mut logged = Vec::new();
-    for (i, d) in deliveries.iter().enumerate() {
-        if apply(&monitor, d) > 0 {
-            logged.push(i);
-        }
+    for d in deliveries {
+        apply(&monitor, d);
     }
     drop(monitor.detach_wal());
     assert_eq!(monitor.wal_errors(), 0, "logging must never error");
-    (monitor, logged)
-}
-
-/// How many leading deliveries a replay of the first `frames` log frames
-/// covers: everything up to and including the delivery that wrote frame
-/// `frames - 1`. Skipped deliveries in that prefix are empty drains —
-/// state no-ops — so feeding a reference the whole prefix is exact.
-fn replay_cut(logged: &[usize], frames: usize) -> usize {
-    if frames == 0 {
-        0
-    } else {
-        logged[frames - 1] + 1
-    }
+    monitor
 }
 
 /// A never-crashed reference fed the given deliveries directly (no WAL).
 fn reference(deliveries: &[Delivery]) -> StreamMonitor {
     let monitor = StreamMonitor::new(config()).unwrap();
     for d in deliveries {
-        let _ = apply(&monitor, d);
+        apply(&monitor, d);
     }
     monitor
 }
@@ -318,8 +283,8 @@ fn assert_monitors_identical(
         ctx
     );
     prop_assert_eq!(
-        recovered.peek_alerts(),
-        reference.peek_alerts(),
+        recovered.alerts_since(0),
+        reference.alerts_since(0),
         "alert buffer ({})",
         ctx
     );
@@ -422,10 +387,10 @@ proptest! {
         // 96-byte segments rotate every frame or two: kill offsets land on
         // sealed segments, the active segment, and exact boundaries.
         let wal_cfg = WalConfig { segment_bytes: 96, sync_each_append: false };
-        let (live, logged) = run_logged(&deliveries, wal_cfg, &src);
+        let live = run_logged(&deliveries, wal_cfg, &src);
         let total = log_len(&src);
         let sizes = frame_sizes(&src);
-        prop_assert_eq!(sizes.len(), logged.len(), "one frame per logged delivery");
+        prop_assert_eq!(sizes.len(), deliveries.len(), "one frame per delivery");
         prop_assert_eq!(sizes.iter().sum::<u64>(), total, "log is exactly the frames");
 
         let mut kills: Vec<u64> = kill_points.iter().map(|f| (f * total as f64) as u64).collect();
@@ -447,7 +412,7 @@ proptest! {
             if kill == total {
                 prop_assert!(report.reason.is_clean(), "full log replays clean");
             }
-            let reference = reference(&deliveries[..replay_cut(&logged, survived)]);
+            let reference = reference(&deliveries[..survived]);
             assert_monitors_identical(&recovered, &reference, &format!("kill@{kill}"))?;
             let _ = fs::remove_dir_all(&dst);
         }
@@ -461,8 +426,8 @@ proptest! {
         kill_log_at(&src, &dst, kill);
         let (resumed, report) = StreamMonitor::recover(&dst, config()).expect("recover");
         resumed.attach_wal(WalWriter::open(&dst, wal_cfg).expect("writer resumes"));
-        for d in &deliveries[replay_cut(&logged, report.records_replayed as usize)..] {
-            let _ = apply(&resumed, d);
+        for d in &deliveries[report.records_replayed as usize..] {
+            apply(&resumed, d);
         }
         drop(resumed.detach_wal());
         assert_monitors_identical(&resumed, &live, "resume")?;
@@ -486,7 +451,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let dir = scratch_dir("flip");
-        let (_, logged) = run_logged(&deliveries, WalConfig::default(), &dir);
+        run_logged(&deliveries, WalConfig::default(), &dir);
         let sizes = frame_sizes(&dir);
         let seg = {
             let segs = segments(&dir);
@@ -495,11 +460,6 @@ proptest! {
         };
         let mut bytes = fs::read(&seg).expect("read segment");
         let total = bytes.len() as u64;
-        if total == 0 {
-            // A soup of only empty drains logs nothing: no byte to flip.
-            let _ = fs::remove_dir_all(&dir);
-            return Ok(());
-        }
         let offset = ((flip_at * total as f64) as u64).min(total - 1);
         bytes[offset as usize] ^= 1 << bit;
         fs::write(&seg, &bytes).expect("write corrupted segment");
@@ -522,7 +482,7 @@ proptest! {
             "replay stops exactly at the corrupt frame (offset {})",
             offset
         );
-        let reference = reference(&deliveries[..replay_cut(&logged, intact)]);
+        let reference = reference(&deliveries[..intact]);
         assert_monitors_identical(&recovered, &reference, &format!("flip@{offset}"))?;
         let _ = fs::remove_dir_all(&dir);
     }
@@ -576,7 +536,6 @@ fn recovered_monitor_continues_identically() {
         .collect();
     let after: Vec<Delivery> = (0..20)
         .map(|i| usage(1_500 + i * 30, (i % 3) as u32, 0.95)) // step change → alerts
-        .chain([Delivery::Drain])
         .chain((0..5).map(|i| usage(100 + i, 0, 0.5))) // stale: all dropped
         .collect();
 
@@ -593,7 +552,7 @@ fn recovered_monitor_continues_identically() {
     assert_eq!(recovered.state_version(), reference.state_version());
     assert_eq!(recovered.stale_dropped(), reference.stale_dropped());
     assert_eq!(recovered.total_alerts(), reference.total_alerts());
-    assert_eq!(recovered.peek_alerts(), reference.peek_alerts());
+    assert_eq!(recovered.alerts_since(0), reference.alerts_since(0));
     assert!(
         recovered.stale_dropped() >= 5,
         "the stale burst was rejected"
