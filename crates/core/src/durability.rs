@@ -2,37 +2,34 @@
 //! state persisted to one directory, so a long-running monitor's
 //! write-ahead log can be **compacted into a snapshot plus tail**.
 //!
-//! A dump directory contains:
+//! A dump directory holds each table once:
 //!
-//! * the four trace tables in their canonical CSV form (`batch_task.csv`,
-//!   `batch_instance.csv`, `server_usage.csv`, `machine_events.csv`),
-//! * `dataset/` — the same tables as columnar
-//!   [`batchlens_trace::store`] segments (sorted, checksummed,
-//!   memory-mappable); [`restore`] prefers this payload when present and
-//!   rebuilds the dataset via the lazy [`TraceDataset::open`] path, which
-//!   is both faster than a CSV re-parse and bit-exact on every f64,
-//! * `machines.json` — explicit machine capacity declarations,
 //! * `session.json` — the recorded interaction log,
+//! * `dataset/` — the trace tables and machine capacities as columnar
+//!   [`batchlens_trace::store`] segments (sorted, checksummed,
+//!   memory-mappable); [`restore`] reopens them through the lazy
+//!   [`TraceDataset::open`],
 //! * `monitor/config.json` + `monitor/wal/` — the live monitor's
 //!   configuration and its WAL, compacted to a single sealed segment with
 //!   sequence numbers preserved (present only when a monitor was dumped).
+//!
+//! CSV stays the trace import/export format ([`batchlens_trace::csv`]);
+//! a dump does not write it.
 //!
 //! The compacted monitor WAL is the **snapshot** half of a
 //! snapshot-plus-tail scheme: [`restore`] replays it through
 //! [`StreamMonitor::recover`], and any records the live log accepted
 //! *after* the dump (sequence numbers past the dump's last) are the tail —
-//! feed them to [`StreamMonitor::apply_replayed`] to catch up. Monitor
-//! state round-trips **bit-identically** (the WAL codec is bit-exact);
-//! `server_usage` rows round-trip on the trace's native 0.01 % utilization
-//! grid, which every CSV-parsed dataset already lies on.
+//! feed them to [`StreamMonitor::apply_replayed`] to catch up. Both halves
+//! round-trip **bit-identically**: the WAL codec and the segment store
+//! keep every f64 as raw bits.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use batchlens_trace::wal::{self, RecoveryReport, WalError};
-use batchlens_trace::{csv, store, MachineId, MachineInfo, TraceDatasetBuilder, TraceError};
-use batchlens_trace::{Metric, ServerUsageRecord, TraceDataset, UtilizationTriple};
+use batchlens_trace::{store, TraceDataset, TraceError};
 
 use crate::app::BatchLens;
 use crate::session::SessionLog;
@@ -113,7 +110,8 @@ pub enum RestoreError {
         /// The OS error.
         source: io::Error,
     },
-    /// A CSV table or the rebuilt dataset was invalid.
+    /// The `dataset/` segment store could not be opened (missing, torn,
+    /// corrupt or out of order), or its tables were invalid.
     Trace(TraceError),
     /// `session.json` or `monitor/config.json` was malformed.
     Deserialize(serde_json::Error),
@@ -157,10 +155,9 @@ impl From<RecoverError> for RestoreError {
 /// What a [`dump`] wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DumpReport {
-    /// Rows written per CSV table: tasks, instances, usage, events.
-    pub rows: [usize; 4],
-    /// Columnar segment files written into `dataset/`.
-    pub segments: usize,
+    /// What the `dataset/` segment store holds: rows per family and
+    /// segment files written.
+    pub dataset: store::StoreReport,
     /// The monitor WAL compaction outcome, when a monitor was dumped. A
     /// non-clean reason means the live log had a torn/corrupt tail and the
     /// dump captured its intact prefix.
@@ -196,48 +193,7 @@ fn read_file(path: &Path) -> Result<String, RestoreError> {
     })
 }
 
-/// Opens a CSV table for streaming parse — a buffered line reader, so
-/// restore never materializes a multi-gigabyte table as one `String`.
-fn open_csv(path: &Path) -> Result<io::BufReader<fs::File>, RestoreError> {
-    fs::File::open(path)
-        .map(io::BufReader::new)
-        .map_err(|source| RestoreError::Io {
-            op: "open",
-            path: path.to_path_buf(),
-            source,
-        })
-}
-
-/// Reconstructs the flat `server_usage` rows from a dataset's per-machine
-/// series (the builder consumed the rows into three aligned series per
-/// machine; zipping them back is exact because they share one grid).
-fn usage_rows(lens: &BatchLens) -> Vec<ServerUsageRecord> {
-    let mut rows = Vec::new();
-    for machine in lens.dataset().machines() {
-        let (Some(cpu), Some(mem), Some(disk)) = (
-            machine.usage(Metric::Cpu),
-            machine.usage(Metric::Memory),
-            machine.usage(Metric::Disk),
-        ) else {
-            continue;
-        };
-        for i in 0..cpu.len() {
-            rows.push(ServerUsageRecord {
-                time: cpu.times()[i],
-                machine: machine.id(),
-                util: UtilizationTriple::clamped(
-                    cpu.values()[i],
-                    mem.values()[i],
-                    disk.values()[i],
-                ),
-            });
-        }
-    }
-    rows.sort_by_key(|r| (r.time, r.machine));
-    rows
-}
-
-/// Dumps the whole lens state — dataset tables, session log, and (when
+/// Dumps the whole lens state — session log, dataset segments, and (when
 /// `monitor` is given) the live monitor's config plus its WAL compacted to
 /// a single segment — into `dir`, creating it if needed.
 ///
@@ -268,41 +224,9 @@ pub fn dump(
         source,
     })?;
 
-    let ds = lens.dataset();
-    let tasks: Vec<_> = ds.task_records().copied().collect();
-    let instances = ds.instance_records();
-    let usage = usage_rows(lens);
-    let events = ds.machine_events();
-
-    write_file(&dir.join("batch_task.csv"), &csv::write_batch_tasks(&tasks))?;
-    write_file(
-        &dir.join("batch_instance.csv"),
-        &csv::write_batch_instances(instances),
-    )?;
-    write_file(
-        &dir.join("server_usage.csv"),
-        &csv::write_server_usage(&usage),
-    )?;
-    write_file(
-        &dir.join("machine_events.csv"),
-        &csv::write_machine_events(events),
-    )?;
-
-    let machines: Vec<(MachineId, MachineInfo)> =
-        ds.machines().map(|m| (m.id(), m.info())).collect();
-    write_file(
-        &dir.join("machines.json"),
-        &serde_json::to_string_pretty(&machines)?,
-    )?;
     write_file(&dir.join("session.json"), &lens.log().to_json()?)?;
-
-    // The columnar payload: same tables as the CSVs, but sorted, checksummed
-    // and memory-mappable, giving restore its fast lazy path.
-    let store_report = store::dump_dataset(&dir.join("dataset"), ds)?;
-
     let mut report = DumpReport {
-        rows: [tasks.len(), instances.len(), usage.len(), events.len()],
-        segments: store_report.segments,
+        dataset: store::dump_dataset(&dir.join("dataset"), lens.dataset())?,
         monitor: None,
     };
     if let Some((monitor, wal_dir)) = monitor {
@@ -326,9 +250,9 @@ pub fn dump(
 /// directory written by [`dump`].
 ///
 /// The dataset is opened from the `dataset/` segment store
-/// ([`TraceDataset::open`]); only a dump without that directory falls back
-/// to parsing the CSV tables and explicit machine declarations. The
-/// session log replays into the view state
+/// ([`TraceDataset::open`]); a dump without it is a
+/// [`RestoreError::Trace`] naming the missing path. The session log
+/// replays into the view state
 /// ([`BatchLens::with_session`]), and the monitor — if dumped — is
 /// recovered from the compacted WAL with the dumped configuration. Apply
 /// tail records from a newer live log via
@@ -337,33 +261,13 @@ pub fn dump(
 ///
 /// # Errors
 ///
-/// IO failures reading the dump, malformed tables/JSON, or an invalid
-/// dumped monitor configuration. Corrupt WAL *contents* are not an error —
+/// IO failures reading the dump, a missing or corrupt segment store,
+/// malformed JSON, or an invalid dumped monitor configuration. Corrupt WAL *contents* are not an error —
 /// replay stops at the last intact record and the report says so.
 pub fn restore(dir: &Path) -> Result<RestoredLens, RestoreError> {
     let log = SessionLog::from_json(&read_file(&dir.join("session.json"))?)?;
 
-    // Prefer the columnar segment payload: lazy mmap-backed open, no
-    // re-parse. Dumps from older versions (no `dataset/` directory) fall
-    // back to a streaming parse of the canonical CSVs.
-    let segment_dir = dir.join("dataset");
-    let dataset = if segment_dir.is_dir() {
-        TraceDataset::open(&segment_dir)?
-    } else {
-        let tasks = csv::parse_batch_tasks_reader(open_csv(&dir.join("batch_task.csv"))?)?;
-        let instances =
-            csv::parse_batch_instances_reader(open_csv(&dir.join("batch_instance.csv"))?)?;
-        let usage = csv::parse_server_usage_reader(open_csv(&dir.join("server_usage.csv"))?)?;
-        let events = csv::parse_machine_events_reader(open_csv(&dir.join("machine_events.csv"))?)?;
-        let machines: Vec<(MachineId, MachineInfo)> =
-            serde_json::from_str(&read_file(&dir.join("machines.json"))?)?;
-        let mut builder = TraceDatasetBuilder::new();
-        for (id, info) in machines {
-            builder.declare_machine(id, info);
-        }
-        builder.extend_tables(tasks, instances, usage, events);
-        builder.build()?
-    };
+    let dataset = TraceDataset::open(&dir.join("dataset"))?;
     let lens = BatchLens::with_session(dataset, log);
 
     let monitor_dir = dir.join("monitor");
@@ -390,7 +294,8 @@ mod tests {
     use batchlens_trace::wal::{WalConfig, WalWriter};
     use batchlens_trace::{
         BatchInstanceRecord, BatchTaskRecord, DatasetQuery, InstanceStatus, JobId, MachineEvent,
-        MachineEventRecord, TaskId, TaskStatus, Timestamp,
+        MachineEventRecord, MachineId, ServerUsageRecord, TaskId, TaskStatus, Timestamp,
+        TraceDatasetBuilder, UtilizationTriple,
     };
 
     fn temp_dump_dir(tag: &str) -> PathBuf {
@@ -435,8 +340,6 @@ mod tests {
             b.push_usage(ServerUsageRecord {
                 time: Timestamp::new(t * 300),
                 machine: MachineId::new(1),
-                // On the 0.01 % grid the CSV codec uses, so the dump
-                // round-trips exactly.
                 util: UtilizationTriple::clamped(0.25, 0.5, 0.75),
             });
         }
@@ -477,7 +380,7 @@ mod tests {
         );
 
         let report = dump(&dump_dir, &lens, Some(&monitor)).unwrap();
-        assert_eq!(report.rows, [1, 2, 4, 1]);
+        assert_eq!(report.dataset.rows, [1, 2, 4, 1, 2]);
         let wal_report = report.monitor.unwrap();
         assert!(wal_report.reason.is_clean());
         assert_eq!(wal_report.records_replayed, 7);
@@ -550,48 +453,28 @@ mod tests {
     }
 
     #[test]
-    fn restore_prefers_segment_payload_over_csvs() {
+    fn dump_holds_each_table_once() {
         let dir = temp_dump_dir("segments");
         let lens = sample_lens();
         let report = dump(&dir, &lens, None).unwrap();
-        assert!(report.segments >= 4, "dump must write a segment payload");
-        assert!(dir.join("dataset").is_dir());
-
-        // Vandalize the CSVs: a segment-preferring restore never reads them.
-        for table in [
-            "batch_task.csv",
-            "batch_instance.csv",
-            "server_usage.csv",
-            "machine_events.csv",
-        ] {
-            fs::write(dir.join(table), "not,a,valid,table\n").unwrap();
-        }
+        assert!(report.dataset.segments >= 5, "one segment per family");
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["dataset", "session.json"], "no CSV copy");
         let restored = restore(&dir).unwrap();
         assert_eq!(restored.lens.dataset(), lens.dataset());
 
-        // Without the segment payload the same dump falls back to the CSVs
-        // and now reports their corruption.
+        // The segment store is the only copy of the tables: without it,
+        // restore is a typed error naming the missing path.
         fs::remove_dir_all(dir.join("dataset")).unwrap();
-        assert!(matches!(restore(&dir), Err(RestoreError::Trace(_))));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn csv_fallback_restore_matches_original() {
-        let dir = temp_dump_dir("csv-fallback");
-        let lens = sample_lens();
-        dump(&dir, &lens, None).unwrap();
-        fs::remove_dir_all(dir.join("dataset")).unwrap();
-        let restored = restore(&dir).unwrap();
-        assert_eq!(
-            restored.lens.dataset().instance_records(),
-            lens.dataset().instance_records()
-        );
-        for t in [0, 300, 900] {
-            assert_eq!(
-                restored.lens.dataset().frame(Timestamp::new(t)),
-                lens.dataset().frame(Timestamp::new(t))
-            );
+        match restore(&dir) {
+            Err(RestoreError::Trace(TraceError::Io { path, .. })) => {
+                assert!(path.ends_with("dataset"), "{path}");
+            }
+            other => panic!("expected the store's Io error, got {other:?}"),
         }
         fs::remove_dir_all(&dir).ok();
     }

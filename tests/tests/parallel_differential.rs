@@ -40,7 +40,7 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
             1..300,
         ),
     )
-        .prop_map(|(inst_rows, usage_rows)| {
+        .prop_map(|(inst_rows, usage_samples)| {
             let mut tasks = Vec::new();
             let mut instances = Vec::new();
             let mut seen_task = std::collections::BTreeSet::new();
@@ -76,7 +76,7 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
                 *seq += 1;
             }
             let mut seen_usage = std::collections::BTreeSet::new();
-            let usage = usage_rows
+            let usage = usage_samples
                 .into_iter()
                 .filter(|&(machine, t, _)| seen_usage.insert((machine, t)))
                 .map(|(machine, t, cpu)| ServerUsageRecord {

@@ -52,7 +52,7 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
         ),
         prop::collection::vec((0..MACHINES, 0i64..6_000, 0u8..4), 0..10),
     )
-        .prop_map(|(inst_rows, usage_rows, event_rows)| {
+        .prop_map(|(inst_rows, usage_samples, event_rows)| {
             let mut tasks = Vec::new();
             let mut instances = Vec::new();
             let mut seen_task = std::collections::BTreeSet::new();
@@ -92,7 +92,7 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
             // batch builder accepts the rows; live delivery re-orders below.
             let mut seen_usage = std::collections::BTreeSet::new();
             let mut usage = Vec::new();
-            for (machine, t, cpu) in usage_rows {
+            for (machine, t, cpu) in usage_samples {
                 if seen_usage.insert((machine, t)) {
                     usage.push(ServerUsageRecord {
                         time: Timestamp::new(t),

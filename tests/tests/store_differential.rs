@@ -10,9 +10,8 @@
 //! `TraceDataset::open` return a typed [`TraceError::CorruptSegment`] whose
 //! reported `[offset, offset+len)` region *contains* the flipped byte —
 //! never a panic, never a silently different dataset. A third covers the
-//! durability integration: `dump`/`restore` of a lens rides the segment
-//! payload (CSV vandalism does not change the outcome) and still falls
-//! back to CSV when the payload is gone.
+//! durability integration: `dump`/`restore` of a lens goes through the
+//! segment store, which is the dump's only copy of the tables.
 
 use std::fs;
 use std::path::PathBuf;
@@ -331,10 +330,9 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Durability integration: a dumped lens restores from the segment
-    /// payload bit-identically even when every CSV table has been
-    /// vandalized (proving the segments are what restore reads), and still
-    /// restores from the CSVs when the segment payload is removed.
+    /// Durability integration: a dumped lens restores from its segment
+    /// store bit-identically, and a dump whose store is gone is a typed
+    /// error, not a panic.
     #[test]
     fn lens_dump_restore_rides_the_segment_payload(
         instances in prop::collection::vec(instance_strategy(), 1..24),
@@ -345,23 +343,16 @@ proptest! {
         let lens = BatchLens::new(ds);
         let dir = scratch_dir("lens");
         let report = durability::dump(&dir, &lens, None).expect("dump");
-        prop_assert!(report.segments > 0, "the dump writes a segment payload");
-
-        // Vandalize every CSV: a restore that parsed them would fail, so a
-        // successful identical restore proves the segment path is taken.
-        for table in ["batch_task", "batch_instance", "server_usage", "machine_events"] {
-            let path = dir.join(format!("{table}.csv"));
-            prop_assert!(path.exists(), "{table}.csv missing from the dump");
-            fs::write(&path, "not,a,valid,row\n").expect("vandalize csv");
-        }
+        prop_assert!(report.dataset.segments > 0, "the dump writes a segment payload");
         let restored = durability::restore(&dir).expect("segment-backed restore");
         prop_assert_eq!(restored.lens.dataset(), lens.dataset());
         assert_query_surface_identical(restored.lens.dataset(), lens.dataset())?;
 
-        // Remove the payload: restore now depends on the CSVs, which are
-        // vandalized — the failure must be a typed error, not a panic.
         fs::remove_dir_all(dir.join("dataset")).expect("drop segment payload");
-        prop_assert!(durability::restore(&dir).is_err());
+        prop_assert!(matches!(
+            durability::restore(&dir),
+            Err(durability::RestoreError::Trace(TraceError::Io { .. }))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -56,7 +56,7 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
             0..12,
         ),
     )
-        .prop_map(|(inst_rows, usage_rows, event_rows)| {
+        .prop_map(|(inst_rows, usage_samples, event_rows)| {
             let mut tasks = Vec::new();
             let mut instances = Vec::new();
             let mut seen_task = BTreeSet::new();
@@ -99,7 +99,7 @@ fn soup_strategy() -> impl Strategy<Value = Soup> {
             // relative to faster peers. Duplicate (machine, time) rows stay
             // in: the monitor must reject re-deliveries of a retained
             // timestamp, and the golden model mirrors that.
-            let mut deliveries: Vec<(i64, ServerUsageRecord)> = usage_rows
+            let mut deliveries: Vec<(i64, ServerUsageRecord)> = usage_samples
                 .into_iter()
                 .map(|(machine, t, cpu, jitter)| {
                     let rec = ServerUsageRecord {
