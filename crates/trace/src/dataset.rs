@@ -380,15 +380,15 @@ pub(crate) struct SortedTables {
 
 impl TraceDataset {
     /// Builds a dataset from tables already in the store's sort orders —
-    /// the segment-open fast path. It runs the **same validations** as
+    /// how a segment store opens. It runs the **same validations** as
     /// [`TraceDatasetBuilder::build`] with dangling instances allowed
     /// (task lifetimes, instance windows, adjacent-duplicate keys; usage
     /// sample order was verified by the caller's column scan) but skips
     /// every sort and every row-at-a-time re-bucketing the builder
     /// performs, since sorted input makes each grouping a linear slice
     /// walk. The result is bit-identical to feeding the same rows through
-    /// the builder (the workspace `store_differential` suite holds both
-    /// paths to that).
+    /// the builder: the workspace `store_differential` suite checks every
+    /// reopened dataset against the builder-made original.
     pub(crate) fn from_sorted_tables(
         t: SortedTables,
         threads: usize,

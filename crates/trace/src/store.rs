@@ -15,14 +15,14 @@
 //! * [`TraceDataset::open`] is the second construction path next to the
 //!   CSV parse: segments are mapped lazily (pages fault in on first
 //!   touch), the batch/event families decode one exec-pool task per
-//!   segment and concatenate (the writer guarantees non-overlapping
-//!   sorted runs; one linear verify pass confirms, with a stable k-way
-//!   merge fallback for hand-built stores), the machine-major
-//!   `server_usage` columns turn into per-machine [`TimeSeries`]
-//!   directly — no record materialization — and the sorted tables feed
-//!   a trusted build that skips the builder's re-sorts. Any ordering
-//!   violation falls back to the full record decode + general builder,
-//!   so tampered stores behave exactly like the original path.
+//!   segment and concatenate in segment order under one linear order
+//!   check, the machine-major `server_usage` columns turn into
+//!   per-machine [`TimeSeries`] directly — no record materialization —
+//!   and the sorted tables feed a trusted build that skips the builder's
+//!   re-sorts. The writer sorts every family, so a store whose checksums
+//!   pass but whose rows are out of order is hand-made or tampered:
+//!   opening it is a typed [`TraceError::CorruptSegment`] naming the
+//!   segment and the row's leading key cell, never a dataset.
 //!
 //! # Segment format
 //!
@@ -61,7 +61,7 @@ use crate::wal::{crc32, put_f64, put_i64, put_u32, put_u64, Cursor};
 use crate::{
     BatchInstanceRecord, BatchTaskRecord, JobId, MachineEvent, MachineEventRecord, MachineId,
     MachineInfo, Metric, ServerUsageRecord, TaskId, TaskStatus, TimeSeries, Timestamp,
-    TraceDataset, TraceDatasetBuilder, TraceError, Utilization, UtilizationTriple,
+    TraceDataset, TraceError, Utilization, UtilizationTriple,
 };
 
 /// Failpoint site evaluated before every segment-file write
@@ -927,15 +927,32 @@ impl SegmentReader {
         }
     }
 
-    fn decode_err(&self, col: usize, row: usize, what: &str) -> TraceError {
+    /// [`TraceError::CorruptSegment`] over the cell at (`col`, `row`).
+    fn cell_err(&self, col: usize, row: usize, message: String) -> TraceError {
         let (off, _) = self.cols[col];
         let w = self.family.columns()[col].kind.width();
         TraceError::CorruptSegment {
             segment: self.name.clone(),
             offset: (off + row * w) as u64,
             len: w as u64,
-            message: format!("undecodable {what}"),
+            message,
         }
+    }
+
+    /// The error for a row that breaks its family's sort order, over the
+    /// row's leading key cell.
+    fn out_of_order(&self, row: usize) -> TraceError {
+        let lead = match self.family {
+            Family::BatchTask | Family::BatchInstance => 2,
+            Family::ServerUsage => 1,
+            Family::MachineEvents | Family::Machines => 0,
+        };
+        let table = self.family.table();
+        self.cell_err(
+            lead,
+            row,
+            format!("row {row} breaks the {table} sort order"),
+        )
     }
 
     /// Decodes every row of a `batch_task` segment, in stored (sorted)
@@ -955,7 +972,7 @@ impl SegmentReader {
                     task: TaskId::new(task.u32_at(i)),
                     instance_count: count.u32_at(i),
                     status: status_from_code(status.u32_at(i))
-                        .ok_or_else(|| self.decode_err(5, i, "task status"))?,
+                        .ok_or_else(|| self.cell_err(5, i, "undecodable task status".into()))?,
                     plan_cpu: cpu.f64_at(i),
                     plan_mem: mem.f64_at(i),
                 })
@@ -982,7 +999,7 @@ impl SegmentReader {
                     total: total.u32_at(i),
                     machine: MachineId::new(machine.u32_at(i)),
                     status: status_from_code(status.u32_at(i))
-                        .ok_or_else(|| self.decode_err(7, i, "instance status"))?,
+                        .ok_or_else(|| self.cell_err(7, i, "undecodable instance status".into()))?,
                     cpu_avg: ca.f64_at(i),
                     cpu_max: cm.f64_at(i),
                     mem_avg: ma.f64_at(i),
@@ -1017,7 +1034,7 @@ impl SegmentReader {
                     time: Timestamp::new(time.i64_at(i)),
                     machine: MachineId::new(machine.u32_at(i)),
                     event: event_from_code(event.u32_at(i))
-                        .ok_or_else(|| self.decode_err(2, i, "machine event"))?,
+                        .ok_or_else(|| self.cell_err(2, i, "undecodable machine event".into()))?,
                     capacity_cpu: cc.f64_at(i),
                     capacity_mem: cm.f64_at(i),
                     capacity_disk: cd.f64_at(i),
@@ -1217,65 +1234,34 @@ pub fn dump_dataset_with(
     })
 }
 
-/// Merges per-segment runs of one family into a single table, returning
-/// whether the result is globally sorted by `key`.
-///
-/// The writer seals consecutive non-overlapping sorted chunks, so for any
-/// store it wrote, plain concatenation in segment order *is* the fully
-/// sorted table — one linear verification pass replaces a heap operation
-/// per row. A store whose bytes checksum clean but whose rows are out of
-/// order (hand-built or tampered) falls back to the stable k-way merge;
-/// if even that leaves the table unsorted (a run was unsorted internally),
-/// the `false` flag routes the open through the general re-sorting
-/// builder instead of the trusted fast path.
-fn merge_family_runs<T: Copy, K: Ord + Copy>(
-    runs: Vec<Vec<T>>,
+/// Concatenates one family's decoded runs in segment order, checking the
+/// family's sort key on the way. The writer seals consecutive sorted
+/// chunks, so for any store it wrote the concatenation *is* the sorted
+/// table; the first row that breaks the order is
+/// [`TraceError::CorruptSegment`] in the segment that holds it.
+fn concat_runs<T: Copy, K: Ord>(
+    runs: Vec<(&SegmentReader, Vec<T>)>,
     key: impl Fn(&T) -> K,
-) -> (Vec<T>, bool) {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    for run in &runs {
-        out.extend_from_slice(run);
-    }
-    if out.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
-        return (out, true);
-    }
-    let merged = kway_merge(runs, &key);
-    let sorted = merged.windows(2).all(|w| key(&w[0]) <= key(&w[1]));
-    (merged, sorted)
-}
-
-/// K-way merge of per-segment sorted runs by a total key, tie-broken by
-/// run index — the same stable merge shape as the builder's parallel
-/// chunk-sort, so the merged order is exactly what one big sort produces.
-fn kway_merge<T: Copy, K: Ord + Copy>(runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((key(&r[0]), i)))
-        .collect();
-    let mut cursor = vec![0usize; runs.len()];
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = runs[i][cursor[i]];
-        out.push(rec);
-        cursor[i] += 1;
-        if cursor[i] < runs[i].len() {
-            heap.push(Reverse((key(&runs[i][cursor[i]]), i)));
+) -> Result<Vec<T>, TraceError> {
+    let mut out: Vec<T> = Vec::with_capacity(runs.iter().map(|(_, r)| r.len()).sum());
+    for (seg, run) in runs {
+        let mut prev = out.last().map(&key);
+        for (row, rec) in run.iter().enumerate() {
+            let k = key(rec);
+            if prev.is_some_and(|p| p > k) {
+                return Err(seg.out_of_order(row));
+            }
+            prev = Some(k);
         }
+        out.extend_from_slice(&run);
     }
-    out
+    Ok(out)
 }
 
 /// The decoded rows of one non-usage segment, tagged by family — the unit
 /// of parallel decode in [`TraceDataset::open`]. Usage has no variant:
-/// its series build straight from the mapped columns on the fast path
-/// (see [`usage_series_from_columns`]), and the fallback decodes records
-/// through [`SegmentReader::usage`] directly.
+/// its series build straight from the mapped columns (see
+/// [`usage_series_from_columns`]).
 enum DecodedSegment {
     Tasks(Vec<BatchTaskRecord>),
     Instances(Vec<BatchInstanceRecord>),
@@ -1299,15 +1285,15 @@ fn decode_segment(seg: &SegmentReader) -> Result<DecodedSegment, TraceError> {
 /// every column (possibly spanning consecutive segments), so the series
 /// are three clamped column copies sharing one verified time grid.
 ///
-/// Returns `None` when the columns are not in store order (machine
-/// non-decreasing, time strictly ascending per machine) — a store our
-/// writer did not seal. The caller then decodes records and takes the
-/// general builder path, which re-sorts and reports duplicate timestamps
-/// exactly as the in-RAM build would.
-fn usage_series_from_columns(segs: &[&SegmentReader]) -> Option<Vec<(MachineId, [TimeSeries; 3])>> {
+/// Machines must not decrease, and times must ascend strictly within one
+/// machine. The walk below visits the rows in store order, so the first
+/// row that breaks either is the [`TraceError::CorruptSegment`] returned,
+/// in the segment that holds it.
+fn usage_series_from_columns(
+    segs: &[&SegmentReader],
+) -> Result<Vec<(MachineId, [TimeSeries; 3])>, TraceError> {
     // Machine runs in store order: (machine, segment index, row range).
     let mut runs: Vec<(u32, usize, usize, usize)> = Vec::new();
-    let mut prev_machine: Option<u32> = None;
     for (s, seg) in segs.iter().enumerate() {
         let col = seg.column(1);
         let rows = seg.row_count();
@@ -1318,11 +1304,7 @@ fn usage_series_from_columns(segs: &[&SegmentReader]) -> Option<Vec<(MachineId, 
             while hi < rows && col.u32_at(hi) == m {
                 hi += 1;
             }
-            if prev_machine.is_some_and(|pm| m < pm) {
-                return None;
-            }
             runs.push((m, s, lo, hi));
-            prev_machine = Some(m);
             lo = hi;
         }
     }
@@ -1330,7 +1312,13 @@ fn usage_series_from_columns(segs: &[&SegmentReader]) -> Option<Vec<(MachineId, 
     let mut out: Vec<(MachineId, [TimeSeries; 3])> = Vec::new();
     let mut idx = 0;
     while idx < runs.len() {
-        let machine = runs[idx].0;
+        let (machine, first_seg, first_row, _) = runs[idx];
+        if out
+            .last()
+            .is_some_and(|(prev, _)| u32::from(*prev) > machine)
+        {
+            return Err(segs[first_seg].out_of_order(first_row));
+        }
         let mut end = idx + 1;
         while end < runs.len() && runs[end].0 == machine {
             end += 1;
@@ -1345,7 +1333,7 @@ fn usage_series_from_columns(segs: &[&SegmentReader]) -> Option<Vec<(MachineId, 
             for i in lo..hi {
                 let t = tcol.i64_at(i);
                 if last.is_some_and(|l| t <= l) {
-                    return None;
+                    return Err(segs[s].out_of_order(i));
                 }
                 last = Some(t);
                 times.push(Timestamp::new(t));
@@ -1375,16 +1363,15 @@ fn usage_series_from_columns(segs: &[&SegmentReader]) -> Option<Vec<(MachineId, 
         ));
         idx = end;
     }
-    Some(out)
+    Ok(out)
 }
 
 fn build_from_store(store: &SegmentStore, threads: usize) -> Result<TraceDataset, TraceError> {
     let threads = batchlens_exec::resolve_threads(threads);
     // One decode task per non-usage segment on the exec pool; results come
     // back in segment order, so the per-family run lists are deterministic.
-    // Usage — by far the largest family — is *not* decoded into records
-    // here: the fast path below builds its series straight from the mapped
-    // columns.
+    // Usage — by far the largest family — is *not* decoded into records:
+    // its series build straight from the mapped columns.
     let segs: Vec<&SegmentReader> = store
         .segments()
         .iter()
@@ -1396,63 +1383,30 @@ fn build_from_store(store: &SegmentStore, threads: usize) -> Result<TraceDataset
     let mut instance_runs = Vec::new();
     let mut event_runs = Vec::new();
     let mut machines: Vec<(MachineId, MachineInfo)> = Vec::new();
-    for part in decoded {
+    for (&seg, part) in segs.iter().zip(decoded) {
         match part {
-            DecodedSegment::Tasks(r) => task_runs.push(r),
-            DecodedSegment::Instances(r) => instance_runs.push(r),
-            DecodedSegment::Events(r) => event_runs.push(r),
+            DecodedSegment::Tasks(r) => task_runs.push((seg, r)),
+            DecodedSegment::Instances(r) => instance_runs.push((seg, r)),
+            DecodedSegment::Events(r) => event_runs.push((seg, r)),
             DecodedSegment::Machines(mut r) => machines.append(&mut r),
         }
     }
-
-    let (tasks, tasks_sorted) = merge_family_runs(task_runs, |r: &BatchTaskRecord| (r.job, r.task));
-    let (instances, instances_sorted) =
-        merge_family_runs(instance_runs, |r: &BatchInstanceRecord| {
-            (r.job, r.task, r.seq)
-        });
-    let (events, events_sorted) =
-        merge_family_runs(event_runs, |r: &MachineEventRecord| (r.time, r.machine));
-
     let usage_segs: Vec<&SegmentReader> = store.family_segments(Family::ServerUsage).collect();
-    if tasks_sorted && instances_sorted && events_sorted {
-        if let Some(usage) = usage_series_from_columns(&usage_segs) {
-            // Every table verified in store order — take the trusted
-            // path, which runs the builder's validations but none of its
-            // sorts or row-at-a-time re-bucketing. Bit-identical to the
-            // builder route below (the workspace differential suite pins
-            // both to the original dataset).
-            return TraceDataset::from_sorted_tables(
-                crate::dataset::SortedTables {
-                    tasks,
-                    instances,
-                    usage,
-                    events,
-                    machines,
-                },
-                threads,
-            );
-        }
-    }
-
-    // A table failed order verification (possible only for stores not
-    // sealed by our writer): decode the usage records after all and
-    // rebuild through the general sorting builder.
-    let usage_runs: Vec<Vec<ServerUsageRecord>> = usage_segs
-        .iter()
-        .map(|seg| seg.usage())
-        .collect::<Result<_, _>>()?;
-    let (usage, _) = merge_family_runs(usage_runs, |r: &ServerUsageRecord| (r.machine, r.time));
-    let mut builder = TraceDatasetBuilder::new();
-    // The store persists what a *built* dataset physically holds; its
-    // original hierarchy strictness already ran, so reopening accepts
-    // datasets that were built with dangling instances allowed.
-    builder.allow_dangling_instances();
-    builder.par_threads(threads);
-    for (id, info) in machines {
-        builder.declare_machine(id, info);
-    }
-    builder.extend_tables(tasks, instances, usage, events);
-    builder.build()
+    // Every table verified in store order: the trusted build runs the
+    // builder's validations but none of its sorts or row-at-a-time
+    // re-bucketing.
+    TraceDataset::from_sorted_tables(
+        crate::dataset::SortedTables {
+            tasks: concat_runs(task_runs, |r: &BatchTaskRecord| (r.job, r.task))?,
+            instances: concat_runs(instance_runs, |r: &BatchInstanceRecord| {
+                (r.job, r.task, r.seq)
+            })?,
+            usage: usage_series_from_columns(&usage_segs)?,
+            events: concat_runs(event_runs, |r: &MachineEventRecord| (r.time, r.machine))?,
+            machines,
+        },
+        threads,
+    )
 }
 
 impl TraceDataset {
@@ -1470,10 +1424,11 @@ impl TraceDataset {
     ///
     /// # Errors
     ///
-    /// [`TraceError::Io`] for OS-level failures,
-    /// [`TraceError::CorruptSegment`] for torn or bit-flipped segments
-    /// (never a panic), and the usual builder errors for semantically
-    /// invalid tables.
+    /// [`TraceError::Io`] for OS-level failures (a missing directory
+    /// included), [`TraceError::CorruptSegment`] for torn or bit-flipped
+    /// segments and for rows out of their family's sort order (never a
+    /// panic), and the usual builder errors for semantically invalid
+    /// tables.
     pub fn open(dir: &Path) -> Result<TraceDataset, TraceError> {
         TraceDataset::open_with_threads(dir, 0)
     }
@@ -1498,7 +1453,7 @@ impl TraceDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DatasetQuery;
+    use crate::{DatasetQuery, TraceDatasetBuilder};
     use batchlens_fault::{arm, Fault, FaultSpec, Trigger};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1761,6 +1716,92 @@ mod tests {
         batchlens_fault::disarm_all();
         assert_eq!(TraceDataset::open(&dir).unwrap(), ds);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Re-seals `path` through the module's own encoder with rows copied
+    /// from `(segment, row)` sources, so every checksum passes whatever
+    /// the row order; the footer claims `keys`.
+    fn reseal(path: &Path, rows: &[(&SegmentReader, usize)], keys: (i64, i64)) {
+        let family = rows[0].0.family();
+        let copy = |out: &mut Vec<u8>, rows: &[(&SegmentReader, usize)], c: usize| {
+            let w = family.columns()[c].kind.width();
+            for (seg, r) in rows {
+                out.extend_from_slice(&seg.column(c).bytes[r * w..(r + 1) * w]);
+            }
+        };
+        write_segment_file(path, &encode_segment(family, rows, keys.0, keys.1, &copy)).unwrap();
+    }
+
+    /// Dumps `ds` into a fresh directory and re-seals its segment `name`
+    /// with the rows in `order`, footer keys unchanged.
+    fn dump_and_reorder(ds: &TraceDataset, name: &str, order: &[usize]) -> PathBuf {
+        let dir = temp_dir("order");
+        dump_dataset(&dir, ds).unwrap();
+        let path = dir.join(name);
+        let seg = SegmentReader::open_buffered(&path).unwrap();
+        let rows: Vec<(&SegmentReader, usize)> = order.iter().map(|&r| (&seg, r)).collect();
+        reseal(&path, &rows, (seg.min_key(), seg.max_key()));
+        dir
+    }
+
+    /// Both open paths answer `dir` with the out-of-order error for `row`
+    /// of `segment`, never with a dataset.
+    fn assert_out_of_order(dir: &Path, segment: &str, row: usize) {
+        let expected = SegmentReader::open_buffered(&dir.join(segment))
+            .unwrap()
+            .out_of_order(row);
+        let mapped = TraceDataset::open(dir).unwrap_err();
+        let buffered = TraceDataset::open_buffered(dir).unwrap_err();
+        assert_eq!(mapped, expected, "mapped: {segment} row {row}");
+        assert_eq!(buffered, expected, "buffered: {segment} row {row}");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn out_of_order_rows_are_a_typed_error() {
+        let _guard = batchlens_fault::test_guard();
+        let ds = sample_dataset();
+        // Two batch_task rows swapped: job 3 before job 2.
+        let dir = dump_and_reorder(&ds, "batch_task-00000.seg", &[0, 2, 1]);
+        assert_out_of_order(&dir, "batch_task-00000.seg", 2);
+
+        // Usage rows are machine-major, five samples per machine: machine
+        // 3's rows before machine 2's make the machine column decrease.
+        let order: Vec<usize> = (0..5).chain(10..15).chain(5..10).chain(15..20).collect();
+        let dir = dump_and_reorder(&ds, "server_usage-00000.seg", &order);
+        assert_out_of_order(&dir, "server_usage-00000.seg", 10);
+
+        // A repeated, then a decreasing, time within machine 1.
+        for head in [[0, 1, 1], [0, 2, 1]] {
+            let order: Vec<usize> = head.into_iter().chain(3..20).collect();
+            let dir = dump_and_reorder(&ds, "server_usage-00000.seg", &order);
+            assert_out_of_order(&dir, "server_usage-00000.seg", 2);
+        }
+
+        // Two machine_events segments whose footers still claim ascending
+        // ranges ([0, 100] and [200, 300]) but whose rows interleave.
+        let mut b = TraceDatasetBuilder::new();
+        for (m, t) in [0, 100, 200, 300].into_iter().enumerate() {
+            b.push_machine_event(MachineEventRecord {
+                time: Timestamp::new(t),
+                machine: MachineId::new(m as u32),
+                event: MachineEvent::Add,
+                capacity_cpu: 1.0,
+                capacity_mem: 1.0,
+                capacity_disk: 1.0,
+            });
+        }
+        let dir = temp_dir("order");
+        dump_dataset_with(&dir, &b.build().unwrap(), StoreConfig { segment_rows: 2 }).unwrap();
+        let paths = [0, 1].map(|i| dir.join(format!("machine_events-0000{i}.seg")));
+        let segs = paths
+            .clone()
+            .map(|p| SegmentReader::open_buffered(&p).unwrap());
+        for (i, path) in paths.iter().enumerate() {
+            let keys = (segs[i].min_key(), segs[i].max_key());
+            reseal(path, &[(&segs[0], i), (&segs[1], i)], keys);
+        }
+        assert_out_of_order(&dir, "machine_events-00001.seg", 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! on the dataset itself (`PartialEq` covers every table, series and
 //! index), on the full [`DatasetQuery`] surface including `frame()`, and
 //! under delta-scrubber walks — across random record soups and segment
-//! sizes small enough to force multi-segment splits and k-way merges.
+//! sizes small enough to split every family across many segments.
 //!
 //! A second suite reuses the PR 6 corruption-at-every-offset pattern at the
 //! segment layer: flipping a single bit anywhere in any segment file makes
@@ -357,7 +357,7 @@ proptest! {
     }
 }
 
-/// A hand-built witness for the multi-segment merge: tiny segments force
+/// A hand-built witness for multi-segment families: tiny segments force
 /// every family to split, and the reopened dataset still equals the
 /// original exactly.
 #[test]
