@@ -229,9 +229,9 @@ pub fn dump(
         dataset: store::dump_dataset(&dir.join("dataset"), lens.dataset())?,
         monitor: None,
     };
+    let monitor_dir = dir.join("monitor");
     if let Some((monitor, wal_dir)) = monitor {
         monitor.sync_wal();
-        let monitor_dir = dir.join("monitor");
         fs::create_dir_all(&monitor_dir).map_err(|source| DumpError::Io {
             op: "create dir",
             path: monitor_dir.clone(),
@@ -242,6 +242,13 @@ pub fn dump(
             &serde_json::to_string_pretty(monitor.config())?,
         )?;
         report.monitor = Some(wal::compact(&wal_dir, &monitor_dir.join("wal"))?);
+    } else if monitor_dir.exists() {
+        // An earlier dump's monitor must not restore as this one's.
+        fs::remove_dir_all(&monitor_dir).map_err(|source| DumpError::Io {
+            op: "remove dir",
+            path: monitor_dir,
+            source,
+        })?;
     }
     Ok(report)
 }
@@ -493,6 +500,60 @@ mod tests {
             lens.dataset().machine_count()
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn redump_into_a_used_directory_restores_only_the_new_dataset() {
+        // 70,000 usage rows span two usage segments; the second dump's
+        // one segment must not be read together with the first's second.
+        let grid = |machines: u32, samples: i64| {
+            let mut b = TraceDatasetBuilder::new();
+            for m in 0..machines {
+                for t in 0..samples {
+                    b.push_usage(ServerUsageRecord {
+                        time: Timestamp::new(t * 60),
+                        machine: MachineId::new(m),
+                        util: UtilizationTriple::clamped(0.25, 0.5, 0.75),
+                    });
+                }
+            }
+            BatchLens::new(b.build().unwrap())
+        };
+        let dir = temp_dump_dir("redump");
+        let first = dump(&dir, &grid(100, 700), None).unwrap();
+        assert_eq!(first.dataset.rows[2], 70_000);
+        assert_eq!(
+            first.dataset.segments, 3,
+            "two usage segments, one machine table"
+        );
+        let small = grid(10, 10);
+        dump(&dir, &small, None).unwrap();
+        let restored = restore(&dir).unwrap();
+        assert_eq!(restored.lens.dataset().machine_count(), 10);
+        assert_eq!(restored.lens.dataset(), small.dataset());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dump_without_monitor_removes_an_earlier_monitor() {
+        let dir = temp_dump_dir("redump-monitor");
+        let wal_dir = temp_dump_dir("redump-monitor-wal");
+        let lens = sample_lens();
+        let monitor = StreamMonitor::new(StreamConfig::default()).unwrap();
+        monitor.attach_wal(WalWriter::open(&wal_dir, WalConfig::default()).unwrap());
+        monitor.ingest(ServerUsageRecord {
+            time: Timestamp::new(0),
+            machine: MachineId::new(1),
+            util: UtilizationTriple::clamped(0.95, 0.3, 0.2),
+        });
+        dump(&dir, &lens, Some(&monitor)).unwrap();
+        assert!(restore(&dir).unwrap().monitor.is_some());
+        dump(&dir, &lens, None).unwrap();
+        let restored = restore(&dir).unwrap();
+        assert!(restored.monitor.is_none());
+        assert!(restored.monitor_report.is_none());
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&wal_dir).ok();
     }
 
     #[test]

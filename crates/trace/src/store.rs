@@ -367,9 +367,9 @@ pub struct StoreReport {
 ///
 /// A segment is **sealed** once `write_*` returns: its bytes are flushed
 /// and fsynced, every region is checksummed as described in the
-/// [module docs](self), and the file is never modified again. Writers
-/// never overwrite an existing segment of the same family/index — reusing
-/// a directory for a different dataset requires clearing it first. A crash
+/// [module docs](self), and the file is never modified again. Creating a
+/// writer removes every `*.seg` file already in its directory, so a store
+/// written into a used directory holds only its own segments. A crash
 /// mid-write leaves a torn tail that [`SegmentReader::open`] rejects with
 /// a typed [`TraceError::CorruptSegment`]; earlier sealed segments remain
 /// readable.
@@ -381,12 +381,13 @@ pub struct SegmentWriter {
 }
 
 impl SegmentWriter {
-    /// Creates `dir` (if needed) and a writer with the default config.
+    /// [`SegmentWriter::with_config`] with the default config.
     pub fn create(dir: &Path) -> Result<SegmentWriter, TraceError> {
         SegmentWriter::with_config(dir, StoreConfig::default())
     }
 
-    /// Creates `dir` (if needed) and a writer with an explicit config.
+    /// Creates `dir` (if needed), removes the segments already in it, and
+    /// returns a writer with an explicit config.
     pub fn with_config(dir: &Path, cfg: StoreConfig) -> Result<SegmentWriter, TraceError> {
         if cfg.segment_rows == 0 || cfg.segment_rows > MAX_SEGMENT_ROWS {
             return Err(TraceError::InvalidResolution {
@@ -394,6 +395,11 @@ impl SegmentWriter {
             });
         }
         fs::create_dir_all(dir).map_err(|e| io_err("create dir", dir, e))?;
+        // An earlier, larger store's higher-numbered segments would
+        // otherwise be read back as part of this one.
+        for path in list_store_segments(dir)? {
+            fs::remove_file(&path).map_err(|e| io_err("remove", &path, e))?;
+        }
         Ok(SegmentWriter {
             dir: dir.to_path_buf(),
             cfg,
@@ -1545,6 +1551,25 @@ mod tests {
             let t = Timestamp::new(t);
             assert_eq!(reopened.frame(t), ds.frame(t), "frame({t})");
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rewriting_a_directory_keeps_only_the_new_store() {
+        let _guard = batchlens_fault::test_guard();
+        let dir = temp_dir("rewrite");
+        let cfg = StoreConfig { segment_rows: 2 };
+        dump_dataset_with(&dir, &sample_dataset(), cfg).unwrap();
+        let mut b = TraceDatasetBuilder::new();
+        b.push_usage(ServerUsageRecord {
+            time: Timestamp::new(0),
+            machine: MachineId::new(9),
+            util: UtilizationTriple::clamped(0.5, 0.5, 0.5),
+        });
+        let small = b.build().unwrap();
+        let report = dump_dataset_with(&dir, &small, cfg).unwrap();
+        assert_eq!(list_store_segments(&dir).unwrap().len(), report.segments);
+        assert_eq!(TraceDataset::open(&dir).unwrap(), small);
         fs::remove_dir_all(&dir).ok();
     }
 
