@@ -4,7 +4,7 @@
 //! be rendered inside several job bubbles. BatchLens's hover interaction
 //! connects those renderings with colored dotted lines (paper Fig 3(b):
 //! "we connect the same machines with colored dotted lines (green, orange
-//! and purple) … to help trace down the machines [that] execute multiple
+//! and purple) … to help trace down the machines \[that\] execute multiple
 //! tasks simultaneously"). This module computes the underlying index.
 
 use batchlens_trace::{DatasetQuery, JobId, MachineId, TaskId, Timestamp};

@@ -2,7 +2,7 @@
 //!
 //! Every detector is an **online kernel**: [`Detector::state`] yields a
 //! [`DetectorState`] that consumes one `(Timestamp, f64)` sample at a time
-//! in O(1) amortized per sample (see the complexity table in [`state`]), and
+//! in O(1) amortized per sample (see the complexity table in the `state` module), and
 //! batch detection ([`Detector::detect`]) is a provided method that feeds the
 //! whole series through that state. The batch and streaming paths therefore
 //! share one implementation and can never disagree.
@@ -19,8 +19,8 @@
 //!   [`thrashing::ThrashingDetector`] (memory pinned while CPU collapses,
 //!   Fig 3(c)), a [`PairedDetectorState`] over aligned CPU/memory samples.
 //!
-//! The retained scan implementations live in [`reference`] for differential
-//! testing and benchmarking.
+//! The retained scan implementations live in [`reference`](mod@reference)
+//! for differential testing and benchmarking.
 
 mod cusum;
 mod ensemble;

@@ -71,7 +71,7 @@ impl Step {
 ///   out-of-order input is unspecified (callers such as `StreamMonitor` drop
 ///   and count stragglers instead of pushing them).
 /// * `push` is O(1) amortized per sample for every built-in detector except
-///   MAD (O(log n), see the [module table](self)).
+///   MAD (O(log n)).
 /// * [`DetectorState::finish`] closes the run still open at end-of-stream;
 ///   after `finish` the state must not be pushed again.
 pub trait DetectorState: std::fmt::Debug + Send {

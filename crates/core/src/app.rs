@@ -244,7 +244,7 @@ impl BatchLens {
 
     /// The hierarchy snapshot at the selected timestamp.
     ///
-    /// Memoized in an [`SNAPSHOT_LRU_CAPACITY`]-entry LRU keyed by
+    /// Memoized in an `SNAPSHOT_LRU_CAPACITY`-entry LRU keyed by
     /// `(source state version, timestamp)`: scrubbing back and forth across
     /// a few instants replays every revisit from cache (a single-entry memo
     /// would thrash), and in live mode an idle monitor serves repeated

@@ -3,12 +3,13 @@
 //!
 //! [`StreamMonitor`] ingests `server_usage` records as they arrive and runs
 //! the **same incremental detector kernels** as batch detection: each
-//! machine gets a [`DetectorBank`] of live
+//! machine gets a `DetectorBank` of live
 //! [`batchlens_analytics::detect::DetectorState`]s (one per detector per
 //! metric, plus the paired-series thrashing state), so every ingest is O(1)
 //! amortized per detector — the window is never re-scanned. Alerts are
 //! typed: they carry the [`AnomalyKind`] and severity computed by the shared
-//! kernels, so an online alert and a batch [`AnomalySpan`] can never
+//! kernels, so an online alert and a batch
+//! [`AnomalySpan`](batchlens_analytics::detect::AnomalySpan) can never
 //! disagree about what a sample means.
 //!
 //! The monitor also maintains the **online rolling index layer**: a

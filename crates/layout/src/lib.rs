@@ -5,7 +5,7 @@
 //! the parts of D3 it relied on, with identical algorithmic behaviour):
 //!
 //! * [`geometry`] — points, circles, rectangles.
-//! * [`enclose`] — Welzl-style smallest enclosing circle of circles
+//! * [`enclose`](mod@enclose) — Welzl-style smallest enclosing circle of circles
 //!   (`d3.packEnclose`).
 //! * [`pack`] — front-chain circle packing (`d3.packSiblings`) and the
 //!   hierarchical pack layout with padding that produces the paper's
@@ -13,7 +13,7 @@
 //! * [`scale`] — linear scales with "nice" tick generation (`d3.scaleLinear`).
 //! * [`color`] — RGBA colors, the utilization colormap of Fig 1's legend and
 //!   the categorical task palette of the detail line charts.
-//! * [`line`] — polyline simplification: largest-triangle-three-buckets and
+//! * [`line`](mod@line) — polyline simplification: largest-triangle-three-buckets and
 //!   Douglas–Peucker, for drawing day-long series at screen resolution.
 //! * [`brush`] — the 1-D brush model behind "selecting the time range via
 //!   brushing".

@@ -1,6 +1,6 @@
 //! A machine × time utilization heatmap.
 //!
-//! The paper cites Muelder et al.'s "behavioral lines" (ref [21]) for
+//! The paper cites Muelder et al.'s "behavioral lines" (ref \[21\]) for
 //! portraying each compute node's behavior over time. A heatmap is the dense
 //! counterpart: one row per machine, one column per time bucket, each cell
 //! colored by utilization. It complements the bubble chart (spatial snapshot)

@@ -1,6 +1,6 @@
 //! A radial state-change comparison view.
 //!
-//! The paper's reference [18] is the authors' own *Intercept Graph*, an
+//! The paper's reference \[18\] is the authors' own *Intercept Graph*, an
 //! interactive radial visualization for comparing quantitative state changes.
 //! BatchLens's spatial comparison ("job_7901 on busier nodes than others")
 //! is exactly such a comparison. This view lays jobs (or machines) around a

@@ -138,7 +138,7 @@ impl Simulation {
     }
 
     /// Runs the simulation and returns the dataset together with the
-    /// injected [`GroundTruth`].
+    /// injected `GroundTruth`.
     ///
     /// # Errors
     ///
