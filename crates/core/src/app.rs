@@ -12,7 +12,7 @@ use batchlens_render::bubble::BubbleChart;
 use batchlens_render::dashboard::Dashboard;
 use batchlens_render::linechart::LineChart;
 use batchlens_render::svg::to_svg;
-use batchlens_render::timeline::TimelineView;
+use batchlens_render::timeline::{TimelineStrip, TimelineView};
 use batchlens_trace::{JobId, TimeRange, Timestamp, TraceDataset};
 
 use std::sync::Arc;
@@ -24,19 +24,21 @@ use crate::session::SessionLog;
 use crate::stream::StreamMonitor;
 use crate::view::ViewState;
 
-/// How many `(version, timestamp)` snapshot/co-allocation results the lens
-/// retains: back-and-forth scrubbing between a handful of instants replays
-/// from cache instead of thrashing a single-entry memo.
-const SNAPSHOT_LRU_CAPACITY: usize = 8;
+/// How many entries each of the lens's LRUs retains: back-and-forth
+/// scrubbing between a handful of instants replays from cache instead of
+/// thrashing a single-entry memo, and a handful of render viewports keep
+/// their prepared timeline strips. It also bounds the strip memo against
+/// clients that request many distinct viewport sizes.
+const LRU_CAPACITY: usize = 8;
 
-/// A tiny most-recent-first LRU over `(state version, timestamp)` keys.
-/// Linear probing is deliberate: at 8 entries a scan beats any hashing.
+/// A tiny most-recent-first LRU. Linear probing is deliberate: at 8
+/// entries a scan beats any hashing.
 #[derive(Debug, Clone)]
-struct Lru<T> {
-    entries: Vec<((u64, Timestamp), T)>,
+struct Lru<K, T> {
+    entries: Vec<(K, T)>,
 }
 
-impl<T> Default for Lru<T> {
+impl<K, T> Default for Lru<K, T> {
     fn default() -> Self {
         Lru {
             entries: Vec::new(),
@@ -44,18 +46,18 @@ impl<T> Default for Lru<T> {
     }
 }
 
-impl<T> Lru<T> {
-    fn get(&mut self, key: (u64, Timestamp)) -> Option<&T> {
+impl<K: PartialEq, T> Lru<K, T> {
+    fn get(&mut self, key: K) -> Option<&T> {
         let pos = self.entries.iter().position(|(k, _)| *k == key)?;
         let entry = self.entries.remove(pos);
         self.entries.insert(0, entry);
         Some(&self.entries[0].1)
     }
 
-    fn insert(&mut self, key: (u64, Timestamp), value: T) {
+    fn insert(&mut self, key: K, value: T) {
         self.entries.retain(|(k, _)| *k != key);
         self.entries.insert(0, (key, value));
-        self.entries.truncate(SNAPSHOT_LRU_CAPACITY);
+        self.entries.truncate(LRU_CAPACITY);
     }
 
     fn clear(&mut self) {
@@ -73,13 +75,13 @@ impl<T> Lru<T> {
 /// entry/exit deltas instead of rebuilding, in batch and live mode alike.
 #[derive(Debug, Default, Clone)]
 struct SnapshotCache {
-    hierarchy: Lru<HierarchySnapshot>,
-    coalloc: Lru<CoallocationIndex>,
+    hierarchy: Lru<(u64, Timestamp), HierarchySnapshot>,
+    coalloc: Lru<(u64, Timestamp), CoallocationIndex>,
     /// Shared transactional frame captures keyed by
     /// `(source state version, timestamp)` and handed out as `Arc`s: N
     /// concurrent sessions rendering the same live instant pay **one**
     /// single-lock capture, not N (see [`BatchLens::frame_at`]).
-    frames: Lru<Arc<batchlens_trace::QueryFrame>>,
+    frames: Lru<(u64, Timestamp), Arc<batchlens_trace::QueryFrame>>,
     /// Cluster-wide overlay keyed by the window it was detected over — the
     /// most expensive of the memoized products (full-cluster ensemble
     /// fan-out), and like the others a pure function of its key.
@@ -107,6 +109,12 @@ pub struct BatchLens {
     /// The aggregated cluster timeline, built once per dataset: the dataset
     /// is immutable, so every timeline/dashboard render reuses it.
     timeline: ClusterTimeline,
+    /// Timeline strips prepared from `timeline`, keyed by the bits of
+    /// their viewport `(width, height)` (see [`BatchLens::timeline_strip`]).
+    /// Nothing invalidates them: `timeline` is fixed for the lens's life,
+    /// live monitor or not. Behind its own lock, so a render never waits
+    /// behind another session's frame capture under `cache`'s lock.
+    strips: Mutex<Lru<(u64, u64), Arc<TimelineStrip>>>,
     /// Last snapshot/co-allocation result keyed by timestamp (interior
     /// mutability so the read-only accessors stay `&self`).
     cache: Mutex<SnapshotCache>,
@@ -124,6 +132,7 @@ impl Clone for BatchLens {
             analyzer: self.analyzer,
             log: self.log.clone(),
             timeline: self.timeline.clone(),
+            strips: Mutex::new(self.strips.lock().clone()),
             cache: Mutex::new(self.cache.lock().clone()),
             live: self.live.clone(),
         }
@@ -142,6 +151,7 @@ impl BatchLens {
             analyzer: RootCauseAnalyzer::new(),
             log: SessionLog::new(extent),
             timeline,
+            strips: Mutex::default(),
             cache: Mutex::new(SnapshotCache::default()),
             live: None,
         }
@@ -159,6 +169,7 @@ impl BatchLens {
             analyzer: RootCauseAnalyzer::new(),
             log,
             timeline,
+            strips: Mutex::default(),
             cache: Mutex::new(SnapshotCache::default()),
             live: None,
         }
@@ -244,7 +255,7 @@ impl BatchLens {
 
     /// The hierarchy snapshot at the selected timestamp.
     ///
-    /// Memoized in an `SNAPSHOT_LRU_CAPACITY`-entry LRU keyed by
+    /// Memoized in an `LRU_CAPACITY`-entry LRU keyed by
     /// `(source state version, timestamp)`: scrubbing back and forth across
     /// a few instants replays every revisit from cache (a single-entry memo
     /// would thrash), and in live mode an idle monitor serves repeated
@@ -385,9 +396,33 @@ impl BatchLens {
         (cache.frame_hits, cache.frame_misses)
     }
 
-    /// The aggregated cluster timeline (cached: built once per dataset).
+    /// The aggregated cluster timeline, built once when the lens is made.
+    /// To draw it, take the strip prepared from it for a viewport from
+    /// [`BatchLens::timeline_strip`] rather than laying it out again.
     pub fn timeline(&self) -> &ClusterTimeline {
         &self.timeline
+    }
+
+    /// The strip [`TimelineView::prepare`] lays out from the lens's
+    /// timeline for `view`, prepared once per viewport and shared.
+    ///
+    /// Strips are memoized in an `LRU_CAPACITY`-entry LRU keyed by the
+    /// bits of `view`'s `(width, height)`, most recent first, and handed
+    /// out as [`Arc`]s: every session rendering at one viewport draws on
+    /// the same strip, and only the brush overlay is laid out per render
+    /// ([`TimelineStrip::render`]). A miss prepares under the memo's own
+    /// lock, so concurrent first renders at one viewport prepare once.
+    /// Pass [`Dashboard::timeline_view`] to get a dashboard's strip.
+    pub fn timeline_strip(&self, view: TimelineView) -> Arc<TimelineStrip> {
+        let (width, height) = view.size();
+        let key = (width.to_bits(), height.to_bits());
+        let mut strips = self.strips.lock();
+        if let Some(strip) = strips.get(key) {
+            return Arc::clone(strip);
+        }
+        let strip = Arc::new(view.prepare(&self.timeline));
+        strips.insert(key, Arc::clone(&strip));
+        strip
     }
 
     /// Root-cause diagnoses for every job running at the selected timestamp.
@@ -537,7 +572,6 @@ impl BatchLens {
 
     /// Renders the brushable timeline as SVG, reflecting the current brush.
     pub fn render_timeline(&self, width: f64, height: f64) -> String {
-        let timeline = self.timeline();
         let brush = self.view.brush().map(|w| {
             let extent = self.view.extent();
             let mut b = Brush::new((
@@ -547,7 +581,11 @@ impl BatchLens {
             b.select(w.start().seconds() as f64, w.end().seconds() as f64);
             b
         });
-        to_svg(&TimelineView::new(width, height).render(timeline, brush.as_ref()))
+        to_svg(
+            &self
+                .timeline_strip(TimelineView::new(width, height))
+                .render(brush.as_ref()),
+        )
     }
 
     /// Renders the full multi-view dashboard as SVG.
@@ -768,7 +806,7 @@ mod tests {
         assert_eq!((hits, misses), (8, 4));
         // A sweep wider than the capacity evicts the oldest: revisiting the
         // very first instant misses again (and recomputes correctly).
-        for i in 0..=(super::SNAPSHOT_LRU_CAPACITY as i64) {
+        for i in 0..=(super::LRU_CAPACITY as i64) {
             app.apply(Event::SelectTimestamp(t(i)));
             let _ = app.snapshot();
         }
@@ -884,6 +922,63 @@ mod tests {
         assert!(!Arc::ptr_eq(&f1, &f4), "version change invalidates");
         assert!(f4.version() > f1.version());
         assert_eq!(app.frame_cache_stats(), (2, 3));
+    }
+
+    #[test]
+    fn timeline_strips_are_shared_per_viewport_and_bounded() {
+        let ds = scenario::fig3b(17).run().unwrap();
+        let app = BatchLens::new(ds);
+        let frame = app.frame_at(scenario::T_FIG3B);
+        let dash = Dashboard::new(1200.0, 800.0);
+        let strip = app.timeline_strip(dash.timeline_view());
+        assert!(Arc::ptr_eq(
+            &strip,
+            &app.timeline_strip(dash.timeline_view())
+        ));
+        assert_eq!(*strip, dash.timeline_view().prepare(app.timeline()));
+
+        // More distinct viewports than the memo holds: it keeps exactly
+        // the capacity, and a re-prepared strip equals the evicted one.
+        let widths: Vec<f64> = (0..2 * LRU_CAPACITY)
+            .map(|i| 400.0 + 10.0 * i as f64)
+            .collect();
+        let strip_at = |width: f64| app.timeline_strip(TimelineView::new(width, 90.0));
+        for &width in &widths {
+            let _ = strip_at(width);
+        }
+        assert_eq!(app.strips.lock().entries.len(), LRU_CAPACITY);
+        let newest = strip_at(widths[widths.len() - 1]);
+        let again = app.timeline_strip(dash.timeline_view());
+        assert!(
+            !Arc::ptr_eq(&strip, &again),
+            "the 1200-wide strip was evicted"
+        );
+        assert_eq!(strip, again);
+        assert_eq!(app.strips.lock().entries.len(), LRU_CAPACITY);
+        assert!(Arc::ptr_eq(&newest, &strip_at(widths[widths.len() - 1])));
+
+        // A clone shares the prepared strips and renders the same bytes.
+        let twin = app.clone();
+        assert!(Arc::ptr_eq(
+            &again,
+            &twin.timeline_strip(dash.timeline_view())
+        ));
+        let render =
+            |lens: &BatchLens| {
+                to_svg(&dash.render_from_frame_with_strip(
+                    &frame,
+                    &lens.timeline_strip(dash.timeline_view()),
+                ))
+            };
+        assert_eq!(render(&twin), render(&app));
+        assert_eq!(
+            render(&app),
+            to_svg(&dash.render_from_frame(&frame, app.timeline()))
+        );
+        assert_eq!(
+            twin.render_timeline(800.0, 100.0),
+            app.render_timeline(800.0, 100.0)
+        );
     }
 
     #[test]

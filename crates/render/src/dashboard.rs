@@ -10,7 +10,10 @@ use batchlens_trace::{JobId, Metric, QueryFrame, TimeRange, Timestamp, TraceData
 use crate::bubble::BubbleChart;
 use crate::linechart::LineChart;
 use crate::scene::{Align, Node, Scene, Style};
-use crate::timeline::TimelineView;
+use crate::timeline::{TimelineStrip, TimelineView};
+
+/// Height of the timeline strip across the top of the dashboard.
+const TIMELINE_H: f64 = 90.0;
 
 /// Composes the multi-view dashboard for one snapshot.
 #[derive(Debug, Clone)]
@@ -56,6 +59,14 @@ impl Dashboard {
         self.render_with_timeline(ds, at, &ClusterTimeline::build(ds))
     }
 
+    /// The view of the timeline strip across the top: the dashboard's
+    /// width at a fixed height. [`TimelineView::prepare`] it once per
+    /// timeline and hand the strip to
+    /// [`Dashboard::render_from_frame_with_strip`] on every frame.
+    pub fn timeline_view(&self) -> TimelineView {
+        TimelineView::new(self.width, TIMELINE_H)
+    }
+
     /// Renders the composed dashboard at snapshot time `at` reusing a
     /// precomputed cluster timeline.
     ///
@@ -68,10 +79,9 @@ impl Dashboard {
         timeline: &ClusterTimeline,
     ) -> Scene {
         let mut scene = Scene::new(self.width, self.height).background(Color::rgb(250, 250, 250));
-        let timeline_h = 90.0;
         let sidebar_w = (self.width * 0.33).min(360.0);
         let main_w = self.width - sidebar_w;
-        let main_h = self.height - timeline_h;
+        let main_h = self.height - TIMELINE_H;
 
         // Title.
         scene.push(Node::Text {
@@ -82,31 +92,19 @@ impl Dashboard {
             align: Align::Start,
             color: Color::rgb(30, 30, 30),
         });
-
-        // Timeline strip with a brush centered on the snapshot.
-        let mut brush_holder = None;
-        if let Some(span) = timeline.cpu.span() {
-            let mut brush =
-                Brush::new((span.start().seconds() as f64, span.end().seconds() as f64));
-            let half = 1800.0;
-            brush.select(at.seconds() as f64 - half, at.seconds() as f64 + half);
-            brush_holder = Some(brush);
-        }
-        let tl_scene =
-            TimelineView::new(self.width, timeline_h).render(timeline, brush_holder.as_ref());
-        scene.push(Node::group_at((0.0, 20.0), tl_scene.root));
+        scene.push(strip_at(&self.timeline_view().prepare(timeline), at));
 
         // Main bubble chart.
         let snapshot = HierarchySnapshot::at(ds, at);
         let bubble = BubbleChart::new(main_w, main_h - 20.0).render(&snapshot);
-        scene.push(Node::group_at((0.0, timeline_h + 20.0), bubble.root));
+        scene.push(Node::group_at((0.0, TIMELINE_H + 20.0), bubble.root));
 
         // Sidebar detail charts.
         let focus = self.resolve_focus(&snapshot);
         let chart_h = ((main_h - 20.0) / focus.len().max(1) as f64).min(200.0);
         let window = snapshot_window(ds, at);
         for (i, job) in focus.iter().enumerate() {
-            let y = timeline_h + 20.0 + i as f64 * chart_h;
+            let y = TIMELINE_H + 20.0 + i as f64 * chart_h;
             if let Some(lines) = JobMetricLines::build(ds, *job, self.detail_metric, &window) {
                 let chart = LineChart::new(sidebar_w, chart_h)
                     .detail()
@@ -117,7 +115,7 @@ impl Dashboard {
 
         // Separator.
         scene.push(Node::Line {
-            from: (main_w, timeline_h + 20.0),
+            from: (main_w, TIMELINE_H + 20.0),
             to: (main_w, self.height),
             style: Style::stroked(Color::rgb(200, 200, 200), 1.0),
         });
@@ -126,29 +124,40 @@ impl Dashboard {
     }
 
     /// Renders the dashboard from **one transactionally captured**
-    /// [`QueryFrame`] — the render path for live monitors and serving
-    /// layers, where every product on screen must agree about the window
-    /// state at one `(version, timestamp)`.
+    /// [`QueryFrame`], laying the timeline strip out from `timeline` on
+    /// every call: [`Dashboard::render_from_frame_with_strip`] on a freshly
+    /// prepared strip. A caller that renders many frames over one timeline
+    /// should prepare [`Dashboard::timeline_view`] once and call that
+    /// method directly, as the application lens's `timeline_strip` memo
+    /// does for the serving layer.
+    pub fn render_from_frame(&self, frame: &QueryFrame, timeline: &ClusterTimeline) -> Scene {
+        self.render_from_frame_with_strip(frame, &self.timeline_view().prepare(timeline))
+    }
+
+    /// Renders the dashboard from **one transactionally captured**
+    /// [`QueryFrame`] on a prepared timeline strip — the render path for
+    /// live monitors and serving layers, where every product on screen
+    /// must agree about the window state at one `(version, timestamp)`.
     ///
     /// The main bubble chart and the machine-utilization sidebar both
     /// derive from the frame alone (no further source queries), so the
     /// composition can never tear even while ingest continues underneath.
-    /// The timeline strip reuses the immutable precomputed aggregate, as
-    /// in [`Dashboard::render_with_timeline`]. Detail line charts need
-    /// windowed time series a point-in-time frame cannot carry, so this
-    /// variant replaces the focus-job sidebar with per-machine utilization
-    /// bars (busiest active machines first). Machines with retained anomaly
-    /// alerts get a count badge — read straight from
-    /// [`QueryFrame::anomaly_count`], so the overlay needs **no second
-    /// trip to the monitor** (and therefore no second lock) after the
-    /// frame capture.
-    pub fn render_from_frame(&self, frame: &QueryFrame, timeline: &ClusterTimeline) -> Scene {
+    /// The timeline strip is `strip`, this dashboard's
+    /// [`Dashboard::timeline_view`] prepared from the immutable cluster
+    /// aggregate; only its brush follows the frame's instant. Detail line
+    /// charts need windowed time series a point-in-time frame cannot
+    /// carry, so this variant replaces the focus-job sidebar with
+    /// per-machine utilization bars (busiest active machines first).
+    /// Machines with retained anomaly alerts get a count badge — read
+    /// straight from [`QueryFrame::anomaly_count`], so the overlay needs
+    /// **no second trip to the monitor** (and therefore no second lock)
+    /// after the frame capture.
+    pub fn render_from_frame_with_strip(&self, frame: &QueryFrame, strip: &TimelineStrip) -> Scene {
         let at = frame.at();
         let mut scene = Scene::new(self.width, self.height).background(Color::rgb(250, 250, 250));
-        let timeline_h = 90.0;
         let sidebar_w = (self.width * 0.33).min(360.0);
         let main_w = self.width - sidebar_w;
-        let main_h = self.height - timeline_h;
+        let main_h = self.height - TIMELINE_H;
 
         // Title carries the frame's source version so two renders can be
         // compared for staleness at a glance.
@@ -160,24 +169,12 @@ impl Dashboard {
             align: Align::Start,
             color: Color::rgb(30, 30, 30),
         });
-
-        // Timeline strip with a brush centered on the frame instant.
-        let mut brush_holder = None;
-        if let Some(span) = timeline.cpu.span() {
-            let mut brush =
-                Brush::new((span.start().seconds() as f64, span.end().seconds() as f64));
-            let half = 1800.0;
-            brush.select(at.seconds() as f64 - half, at.seconds() as f64 + half);
-            brush_holder = Some(brush);
-        }
-        let tl_scene =
-            TimelineView::new(self.width, timeline_h).render(timeline, brush_holder.as_ref());
-        scene.push(Node::group_at((0.0, 20.0), tl_scene.root));
+        scene.push(strip_at(strip, at));
 
         // Main bubble chart, derived from the frame.
         let snapshot = HierarchySnapshot::from_frame(frame);
         let bubble = BubbleChart::new(main_w, main_h - 20.0).render(&snapshot);
-        scene.push(Node::group_at((0.0, timeline_h + 20.0), bubble.root));
+        scene.push(Node::group_at((0.0, TIMELINE_H + 20.0), bubble.root));
 
         // Sidebar: utilization bars for the busiest active machines, also
         // straight off the frame.
@@ -255,13 +252,13 @@ impl Dashboard {
         }
         scene.push(Node::Group {
             label: Some("machine-utilization".to_string()),
-            translate: (main_w, timeline_h + 20.0),
+            translate: (main_w, TIMELINE_H + 20.0),
             children: sidebar,
         });
 
         // Separator.
         scene.push(Node::Line {
-            from: (main_w, timeline_h + 20.0),
+            from: (main_w, TIMELINE_H + 20.0),
             to: (main_w, self.height),
             style: Style::stroked(Color::rgb(200, 200, 200), 1.0),
         });
@@ -278,6 +275,18 @@ impl Dashboard {
         ranked.reverse(); // busiest first
         ranked.into_iter().map(|(j, _)| j).take(4).collect()
     }
+}
+
+/// The timeline strip under the title, with a brush selecting ±30 minutes
+/// around `at` (clamped to the strip's span; none on an empty timeline).
+fn strip_at(strip: &TimelineStrip, at: Timestamp) -> Node {
+    let brush = strip.span().map(|span| {
+        let mut brush = Brush::new((span.start().seconds() as f64, span.end().seconds() as f64));
+        let half = 1800.0;
+        brush.select(at.seconds() as f64 - half, at.seconds() as f64 + half);
+        brush
+    });
+    Node::group_at((0.0, 20.0), strip.render(brush.as_ref()).root)
 }
 
 /// The detail window for a snapshot: a ±1-hour window clamped to the trace,

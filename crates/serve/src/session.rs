@@ -8,7 +8,9 @@
 //! lens: renders and frame queries go through exactly one
 //! [`BatchLens::frame_at`] capture per request, so concurrent sessions
 //! viewing the same instant of the same source state share one immutable
-//! frame (see the frame-cache sharing rule on [`BatchLens::frame_at`]).
+//! frame (see the frame-cache sharing rule on [`BatchLens::frame_at`]), and
+//! renders draw on the lens's timeline strip for their viewport, prepared
+//! once and shared ([`BatchLens::timeline_strip`]).
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -20,6 +22,7 @@ use batchlens::interaction::{reduce, Event};
 use batchlens::render::ascii::AsciiCanvas;
 use batchlens::render::dashboard::Dashboard;
 use batchlens::render::svg::to_svg;
+use batchlens::render::Scene;
 use batchlens::stream::Alert;
 use batchlens::{BatchLens, SessionLog, ViewState};
 use batchlens_trace::{JobId, MachineId, QueryFrame, TimeRange, Timestamp};
@@ -409,6 +412,14 @@ impl SessionManager {
         }
     }
 
+    /// Session `s`'s dashboard of `frame` at `width`×`height`, drawn on the
+    /// lens's prepared timeline strip for that viewport.
+    fn dashboard(&self, s: &Session, frame: &QueryFrame, width: f64, height: f64) -> Scene {
+        let dashboard = Dashboard::new(width, height).detail_metric(s.view.detail_metric());
+        let strip = self.lens.timeline_strip(dashboard.timeline_view());
+        dashboard.render_from_frame_with_strip(frame, &strip)
+    }
+
     /// Applies an interaction event to session `id`'s view, recording it
     /// in the session's log.
     ///
@@ -463,8 +474,9 @@ impl SessionManager {
     }
 
     /// Renders session `id`'s dashboard as SVG — through exactly one
-    /// [`BatchLens::frame_at`] capture. The `bool` is the staleness flag:
-    /// `true` when degraded mode rendered the last good frame.
+    /// [`BatchLens::frame_at`] capture, on the lens's shared timeline strip
+    /// for the viewport. The `bool` is the staleness flag: `true` when
+    /// degraded mode rendered the last good frame.
     ///
     /// # Errors
     ///
@@ -477,9 +489,7 @@ impl SessionManager {
     ) -> Result<(String, bool), SessionError> {
         self.with_session(id, |s| {
             let (frame, stale) = self.capture_frame(s).ok_or(SessionError::Unavailable)?;
-            let scene = Dashboard::new(width, height)
-                .detail_metric(s.view.detail_metric())
-                .render_from_frame(&frame, self.lens.timeline());
+            let scene = self.dashboard(s, &frame, width, height);
             Ok((to_svg(&scene), stale))
         })?
     }
@@ -498,9 +508,7 @@ impl SessionManager {
     ) -> Result<(String, bool), SessionError> {
         self.with_session(id, |s| {
             let (frame, stale) = self.capture_frame(s).ok_or(SessionError::Unavailable)?;
-            let scene = Dashboard::new(4.0 * cols as f64, 8.0 * rows as f64)
-                .detail_metric(s.view.detail_metric())
-                .render_from_frame(&frame, self.lens.timeline());
+            let scene = self.dashboard(s, &frame, 4.0 * cols as f64, 8.0 * rows as f64);
             Ok((AsciiCanvas::render(&scene, cols, rows).to_text(), stale))
         })?
     }

@@ -11,14 +11,25 @@
 //! integers, ±0, NaN, ±∞, values ≥ 1e15, subnormals, exact ties that
 //! round half-to-even, and the f64 neighbours of every near-tie
 //! (2j+1)/2000. Deterministic cases add every tie in a range and the fig3
-//! dashboards through both dashboard render paths.
+//! dashboards through the three dashboard render paths.
+//!
+//! A second property covers the served renders, which draw on the lens's
+//! memoized timeline strips: a random sequence of instants and viewports
+//! rendered through [`SessionManager::render_svg`] and
+//! [`SessionManager::render_ascii`] must equal, byte for byte, a fresh
+//! [`Dashboard::render_from_frame`] of the same frame. The viewports
+//! repeat, and there are more of them than the lens's strip memo holds.
+
+use std::sync::Arc;
 
 use batchlens::analytics::aggregate::ClusterTimeline;
 use batchlens::layout::Color;
 use batchlens::render::svg::{self, reference};
-use batchlens::render::{Align, Dashboard, Node, Scene, Stroke, Style};
+use batchlens::render::{Align, AsciiCanvas, Dashboard, Node, Scene, Stroke, Style};
 use batchlens::sim::scenario;
-use batchlens::trace::DatasetQuery;
+use batchlens::trace::{DatasetQuery, Timestamp};
+use batchlens::{BatchLens, Event, ViewState};
+use batchlens_serve::SessionManager;
 use proptest::prelude::*;
 
 /// Labels and texts: XML specials, non-ASCII, empty.
@@ -225,6 +236,65 @@ proptest! {
     }
 }
 
+/// SVG viewports `(width, height)` and ASCII grids `(cols, rows)`: 12
+/// distinct strip widths in all, more than the lens's strip memo holds.
+const SVG_VIEWPORTS: [(f64, f64); 7] = [
+    (1200.0, 800.0),
+    (800.0, 600.0),
+    (1400.0, 900.0),
+    (640.0, 480.0),
+    (1024.5, 768.25),
+    (300.0, 200.0),
+    (1920.0, 1080.0),
+];
+const ASCII_GRIDS: [(usize, usize); 5] = [(120, 36), (80, 24), (100, 30), (60, 20), (200, 50)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn served_renders_on_memoized_strips_equal_fresh_renders(
+        steps in prop::collection::vec(
+            (0i64..15, 0usize..SVG_VIEWPORTS.len() + ASCII_GRIDS.len(), 0usize..2),
+            1..32,
+        ),
+    ) {
+        // The fig3b day spans 45 000–48 000 s.
+        let day = scenario::fig3b(7).run().unwrap();
+        let manager = SessionManager::new(Arc::new(BatchLens::new(day)));
+        let lens = Arc::clone(manager.lens());
+        let sessions = [manager.create().session, manager.create().session];
+        let detail = ViewState::new(lens.view().extent()).detail_metric();
+        for (slot, viewport, session) in steps {
+            // 44 400–48 600 s, which the view clamps to the span: brushes
+            // inside it and clamped at both of its ends.
+            let id = sessions[session];
+            let select = Event::SelectTimestamp(Timestamp::new(44_400 + 300 * slot));
+            let frame = lens.frame_at(manager.interact(id, select).unwrap().at);
+            let (served, fresh) = match SVG_VIEWPORTS.get(viewport) {
+                Some(&(width, height)) => {
+                    let (served, stale) = manager.render_svg(id, width, height).unwrap();
+                    prop_assert!(!stale);
+                    let scene = Dashboard::new(width, height)
+                        .detail_metric(detail)
+                        .render_from_frame(&frame, lens.timeline());
+                    (served, svg::to_svg(&scene))
+                }
+                None => {
+                    let (cols, rows) = ASCII_GRIDS[viewport - SVG_VIEWPORTS.len()];
+                    let (served, stale) = manager.render_ascii(id, cols, rows).unwrap();
+                    prop_assert!(!stale);
+                    let scene = Dashboard::new(4.0 * cols as f64, 8.0 * rows as f64)
+                        .detail_metric(detail)
+                        .render_from_frame(&frame, lens.timeline());
+                    (served, AsciiCanvas::render(&scene, cols, rows).to_text())
+                }
+            };
+            prop_assert_eq!(served, fresh);
+        }
+    }
+}
+
 /// Every near-tie (2j+1)/2000 in a range, its f64 neighbours and the exact
 /// ties among them, negated too, as polyline points.
 #[test]
@@ -244,7 +314,9 @@ fn every_tie_and_neighbour_in_range_matches_the_reference() {
     assert_eq!(svg::to_svg(&scene), reference::to_svg(&scene));
 }
 
-/// The paper's three case-study dashboards, through both render paths.
+/// The paper's three case-study dashboards, through the three render
+/// paths: dataset and timeline, frame and timeline, frame and a prepared
+/// strip.
 #[test]
 fn fig3_dashboards_match_the_reference() {
     for (build, at) in [
@@ -258,9 +330,14 @@ fn fig3_dashboards_match_the_reference() {
         let ds = build(7).run().unwrap();
         let timeline = ClusterTimeline::build(&ds);
         let dashboard = Dashboard::new(1200.0, 800.0);
+        let strip = dashboard.timeline_view().prepare(&timeline);
+        let from_frame = dashboard.render_from_frame(&ds.frame(at), &timeline);
+        let on_strip = dashboard.render_from_frame_with_strip(&ds.frame(at), &strip);
+        assert_eq!(svg::to_svg(&on_strip), svg::to_svg(&from_frame));
         for scene in [
             dashboard.render_with_timeline(&ds, at, &timeline),
-            dashboard.render_from_frame(&ds.frame(at), &timeline),
+            from_frame,
+            on_strip,
         ] {
             let written = svg::to_svg(&scene);
             assert!(written.contains("<path d=\"M "));
