@@ -559,13 +559,15 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
 
     // --- serial-vs-parallel rows: the PR-3 execution layer. "naive" is the
     //     serial path (1 thread), "optimized" the chunk-merged sweep /
-    //     sharded build at PAR_THREADS workers; both bit-identical, so the
-    //     speedup column is purely the parallel trajectory. ---
+    //     sharded build at one worker per available core; both
+    //     bit-identical, so the speedup column is purely the parallel
+    //     trajectory. ---
+    let threads = par_threads();
     let serial_s = measure(reps, || {
         TimeSeries::mean_of_par(cpu_series.iter().copied(), 1).len()
     });
     let parallel = measure(reps, || {
-        TimeSeries::mean_of_par(cpu_series.iter().copied(), PAR_THREADS).len()
+        TimeSeries::mean_of_par(cpu_series.iter().copied(), threads).len()
     });
     entries.push(entry(
         format!("timeline_mean_par_{suffix}"),
@@ -592,7 +594,7 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         })
     };
     let serial_s = time_build(1);
-    let parallel = time_build(PAR_THREADS);
+    let parallel = time_build(threads);
     entries.push(entry(format!("dataset_build_{suffix}"), serial_s, parallel));
 
     // --- crash restart: rebuilding monitor state by replaying the binary
@@ -758,24 +760,55 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         batched_t,
     ));
 
-    // --- SVG serialization of the served dashboard: the retained
-    //     allocate-per-token serializer vs the writer that puts every token
-    //     straight into the output, on the 1200×800 render_from_frame
-    //     dashboard at the middle of the span. The documents are
-    //     byte-identical (svg_differential proves it over random scenes;
-    //     checked here once outside the timed loops). ---
+    // --- the served dashboard at the middle of the span, serialized:
+    //     laying the timeline strip out on every render
+    //     (`render_from_frame`) vs drawing on a strip prepared once per
+    //     viewport outside the timed loop, as the lens's memo serves it.
+    //     The documents are byte-identical (checked here once). ---
     use batchlens::analytics::aggregate::ClusterTimeline;
     use batchlens::render::{svg, Dashboard};
     let mid = span.start() + TimeDelta::seconds(span.duration().as_seconds() / 2);
-    let scene = Dashboard::new(1200.0, 800.0)
-        .render_from_frame(&ds.frame(mid), &ClusterTimeline::build(ds));
+    let timeline = ClusterTimeline::build(ds);
+    let frame = ds.frame(mid);
+    let dashboard = Dashboard::new(1200.0, 800.0);
+    let strip = dashboard.timeline_view().prepare(&timeline);
+    let scene = dashboard.render_from_frame_with_strip(&frame, &strip);
+    assert_eq!(
+        svg::to_svg(&dashboard.render_from_frame(&frame, &timeline)),
+        svg::to_svg(&scene),
+        "a prepared strip must draw what a fresh one draws"
+    );
+    let svg_reps = if tier == Tier::Paper { 20 } else { 40 };
+    let naive_s = measure(svg_reps, || {
+        svg::to_svg(&dashboard.render_from_frame(&frame, &timeline)).len()
+    });
+    let optimized = measure(svg_reps, || {
+        svg::to_svg(&dashboard.render_from_frame_with_strip(&frame, &strip)).len()
+    });
+    println!(
+        "dashboard_frame_{suffix}: at t={}; strip laid out per render {:.0} us, \
+         prepared strip {:.0} us",
+        mid.seconds(),
+        naive_s.min_ns / 1e3,
+        optimized.min_ns / 1e3,
+    );
+    entries.push(entry(
+        format!("dashboard_frame_{suffix}"),
+        naive_s,
+        optimized,
+    ));
+
+    // --- SVG serialization of that dashboard: the retained
+    //     allocate-per-token serializer vs the writer that puts every token
+    //     straight into the output. The documents are byte-identical
+    //     (svg_differential proves it over random scenes; checked here
+    //     once outside the timed loops). ---
     let svg_bytes = svg::to_svg(&scene);
     assert_eq!(
         svg_bytes,
         svg::reference::to_svg(&scene),
         "the writer must match the reference serializer"
     );
-    let svg_reps = if tier == Tier::Paper { 20 } else { 40 };
     let optimized = measure(svg_reps, || svg::to_svg(&scene).len());
     let naive_s = measure(svg_reps, || svg::reference::to_svg(&scene).len());
     println!(
@@ -1051,10 +1084,11 @@ fn overload_entries(tier: Tier, ds: &TraceDataset, overload: &mut Vec<OverloadEn
 /// Requests each benchmark session issues against the serving layer.
 const SERVE_REQUESTS: usize = 64;
 
-/// Worker count for the serial-vs-parallel rows (the ISSUE's reference
-/// configuration; on fewer cores the rows simply record what the hardware
-/// gives).
-const PAR_THREADS: usize = 8;
+/// Worker count for the serial-vs-parallel rows: one per available core,
+/// so the rows time the parallel paths rather than oversubscription.
+fn par_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// Factor by which a tracked op's optimized time may grow before `--check`
 /// fails.
@@ -1103,9 +1137,10 @@ fn main() {
 
     // --check: compare fresh optimized times against the committed file.
     // The serial-vs-parallel trajectory rows are excluded: their "optimized"
-    // column times a fixed 8-thread pool, which is a property of the host's
-    // core count, not of the code — a CI runner with fewer cores than the
-    // machine that committed the file would fail with no real regression.
+    // column runs one worker per available core, so it scales with the
+    // host's core count, not with the code — a CI runner with fewer cores
+    // than the machine that committed the file would fail with no real
+    // regression.
     let guarded =
         |name: &str| !name.starts_with("timeline_mean_par_") && !name.starts_with("dataset_build_");
     let mut regressions = Vec::new();

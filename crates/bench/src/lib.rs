@@ -1,11 +1,13 @@
 //! Shared helpers for the BatchLens benchmark harness.
 //!
-//! Each paper figure and table has a Criterion bench (`fig_bubble`,
-//! `fig_linechart`, `fig_dashboard`, `table_dataset_stats`) that times the
-//! code regenerating it, plus algorithm ablation benches
-//! (`pack_scaling`, `enclose`, `series_ops`, `simplify`, `detect`,
-//! `svg_emit`, `sim_engine`, `raw_scan_baseline`). The `figures` binary
-//! writes every artifact to `target/figures/` for inspection.
+//! Paper figures and tables have Criterion benches (`fig_bubble`,
+//! `fig_linechart`, `table_dataset_stats`) that time the code regenerating
+//! them, next to algorithm ablation benches (`pack_scaling`, `enclose`,
+//! `series_ops`, `simplify`, `detect`, `sim_engine`,
+//! `raw_scan_baseline`). The Fig 3 dashboard and its SVG serialization are
+//! timed by `bench_trace`'s `dashboard_frame_*` and `svg_render_*` rows.
+//! The `figures` binary writes every artifact to `target/figures/` for
+//! inspection.
 //!
 //! This module centralizes the workload builders the benches share so the
 //! "what is measured" is defined once.
