@@ -714,7 +714,6 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     let optimized = measure(scan_reps, || scan_col().to_bits() as usize);
     let naive_s = measure(3, || scan_ram().to_bits() as usize);
     entries.push(entry(format!("segment_scan_{suffix}"), naive_s, optimized));
-    let _ = std::fs::remove_dir_all(&seg_dir);
 
     // --- epoch-batched ingestion vs record-at-a-time ingestion, both
     //     into one unlogged monitor: "naive" feeds the time-sorted usage
@@ -759,6 +758,66 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
         serial_t,
         batched_t,
     ));
+
+    // --- restart from a dump of the lens and a `StreamConfig::default()`
+    //     monitor fed the usage in epochs: the lens half (session log,
+    //     store open, lens build) and then the monitor half (config, WAL
+    //     replay) vs `durability::restore`, which runs the two halves
+    //     concurrently when the host has a second core, so its column
+    //     scales with the core count. Both restore equal datasets and
+    //     monitors (checked here once). ---
+    use batchlens::{durability, BatchLens, SessionLog};
+    let scratch = |kind: &str| {
+        let dir = std::env::temp_dir().join(format!(
+            "batchlens-bench-{kind}-{}-{suffix}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (dump_dir, live_wal) = (scratch("dump"), scratch("dump-wal"));
+    let monitor = StreamMonitor::new(StreamConfig::default()).unwrap();
+    monitor.attach_wal(WalWriter::open(&live_wal, WalConfig::default()).expect("bench wal opens"));
+    let sequencer = BatchSequencer::new();
+    for part in feed.chunks(EPOCH_RECORDS) {
+        let at = part.last().map_or(Timestamp::new(0), |r| r.time);
+        monitor.ingest_batch(&sequencer.seal(at, part.to_vec()));
+    }
+    assert_eq!(monitor.wal_errors(), 0, "bench logging must not error");
+    let lens = BatchLens::new(TraceDataset::open(&seg_dir).expect("segment reopen"));
+    durability::dump(&dump_dir, &lens, Some(&monitor)).expect("bench dump");
+    drop(lens);
+    drop(monitor);
+    let _ = std::fs::remove_dir_all(&live_wal);
+    let _ = std::fs::remove_dir_all(&seg_dir);
+    let in_series = || {
+        let read = |file: &str| std::fs::read_to_string(dump_dir.join(file)).expect("dump reads");
+        let log = SessionLog::from_json(&read("session.json")).expect("session log parses");
+        let dataset = TraceDataset::open(&dump_dir.join("dataset")).expect("dumped store opens");
+        let lens = BatchLens::with_session(dataset, log);
+        let cfg: StreamConfig =
+            serde_json::from_str(&read("monitor/config.json")).expect("config parses");
+        let wal = dump_dir.join("monitor").join("wal");
+        let (monitor, _) = StreamMonitor::recover(&wal, cfg).expect("dumped wal recovers");
+        (lens, monitor)
+    };
+    let overlapped = || {
+        let restored = durability::restore(&dump_dir).expect("bench restore");
+        let monitor = restored.monitor.expect("the dump holds a monitor");
+        (restored.lens, monitor)
+    };
+    {
+        let ((a, a_monitor), (b, b_monitor)) = (in_series(), overlapped());
+        assert_eq!(a.dataset(), b.dataset(), "both sides restore one dataset");
+        assert_eq!(a_monitor.state_version(), b_monitor.state_version());
+        assert_eq!(a_monitor.ingested(), b_monitor.ingested());
+        assert_eq!(a_monitor.alerts_since(0), b_monitor.alerts_since(0));
+    }
+    let restore_reps = if tier == Tier::Paper { 2 } else { 3 };
+    let naive_s = measure(restore_reps, || in_series().1.state_version() as usize);
+    let optimized = measure(restore_reps, || overlapped().1.state_version() as usize);
+    let _ = std::fs::remove_dir_all(&dump_dir);
+    entries.push(entry(format!("restore_{suffix}"), naive_s, optimized));
 
     // --- the served dashboard at the middle of the span, serialized:
     //     laying the timeline strip out on every render
@@ -1140,9 +1199,14 @@ fn main() {
     // column runs one worker per available core, so it scales with the
     // host's core count, not with the code — a CI runner with fewer cores
     // than the machine that committed the file would fail with no real
-    // regression.
-    let guarded =
-        |name: &str| !name.starts_with("timeline_mean_par_") && !name.starts_with("dataset_build_");
+    // regression. The `restore_` rows are excluded for the same reason:
+    // `durability::restore` overlaps its two halves only when the host has
+    // a second core.
+    let guarded = |name: &str| {
+        !name.starts_with("timeline_mean_par_")
+            && !name.starts_with("dataset_build_")
+            && !name.starts_with("restore_")
+    };
     let mut regressions = Vec::new();
     if check {
         if let Some(old) = &committed {

@@ -23,6 +23,13 @@
 //! feed them to [`StreamMonitor::apply_replayed`] to catch up. Both halves
 //! round-trip **bit-identically**: the WAL codec and the segment store
 //! keep every f64 as raw bits.
+//!
+//! [`restore`] reads the lens's files (`session.json`, `dataset/`) and the
+//! monitor's (`monitor/`) independently, so it rebuilds the two
+//! **concurrently**: a restart waits for the slower of the WAL replay and
+//! the lens build, not for their sum. Under `BATCHLENS_THREADS=1`, or on
+//! one core, it runs them in series, lens first. Either way the lens
+//! half's error wins when both fail.
 
 use std::fs;
 use std::io;
@@ -266,32 +273,75 @@ pub fn dump(
 /// [`StreamMonitor::apply_replayed`] to catch the monitor up past the
 /// dump point.
 ///
+/// The lens half (session log, store open, lens build) and the monitor
+/// half (config, WAL replay) share no files, so they run concurrently:
+/// the monitor half on a scoped thread, the lens half on the calling
+/// thread. When the process default worker count
+/// ([`batchlens_exec::default_threads`]) is one — `BATCHLENS_THREADS=1`,
+/// or a single-core host — they run in series, lens first. Both halves'
+/// working sets are live at once: the WAL reader holds the whole
+/// compacted log while the lens is built. The call returns once both
+/// halves have finished, even when one of them failed.
+///
 /// # Errors
 ///
 /// IO failures reading the dump, a missing or corrupt segment store,
-/// malformed JSON, or an invalid dumped monitor configuration. Corrupt WAL *contents* are not an error —
-/// replay stops at the last intact record and the report says so.
+/// malformed JSON, an invalid dumped monitor configuration, or a
+/// `monitor/` without its `wal/` directory (a [`RestoreError::Io`] naming
+/// it: [`dump`] always writes one). When both halves fail, the lens
+/// half's error wins, as it would in series. Corrupt WAL *contents* are
+/// not an error — replay stops at the last intact record and the report
+/// says so.
 pub fn restore(dir: &Path) -> Result<RestoredLens, RestoreError> {
-    let log = SessionLog::from_json(&read_file(&dir.join("session.json"))?)?;
-
-    let dataset = TraceDataset::open(&dir.join("dataset"))?;
-    let lens = BatchLens::with_session(dataset, log);
-
-    let monitor_dir = dir.join("monitor");
-    let (monitor, monitor_report) = if monitor_dir.is_dir() {
-        let cfg: StreamConfig =
-            serde_json::from_str(&read_file(&monitor_dir.join("config.json"))?)?;
-        let (monitor, report) = StreamMonitor::recover(&monitor_dir.join("wal"), cfg)?;
-        (Some(monitor), Some(report))
+    let monitor_half = || restore_monitor(&dir.join("monitor"));
+    let (lens, monitor) = if batchlens_exec::default_threads() <= 1 {
+        (restore_lens(dir)?, monitor_half()?)
     } else {
-        (None, None)
+        // The lens half stays on the calling thread, so its allocations
+        // come from the caller's malloc arena, which holds what an earlier
+        // lens freed. With both halves on fresh threads, each drawing on
+        // its own arena, the peak resident set of the replay benchmark's
+        // `crash_restart` workload rose by about a quarter.
+        std::thread::scope(|scope| {
+            let monitor = scope.spawn(monitor_half);
+            let lens = restore_lens(dir);
+            let monitor = monitor
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            Ok::<_, RestoreError>((lens?, monitor?))
+        })?
     };
-
+    let (monitor, monitor_report) = monitor.unzip();
     Ok(RestoredLens {
         lens,
         monitor,
         monitor_report,
     })
+}
+
+fn restore_lens(dir: &Path) -> Result<BatchLens, RestoreError> {
+    let log = SessionLog::from_json(&read_file(&dir.join("session.json"))?)?;
+    let dataset = TraceDataset::open(&dir.join("dataset"))?;
+    Ok(BatchLens::with_session(dataset, log))
+}
+
+/// `None` when the dump holds no monitor.
+fn restore_monitor(
+    monitor_dir: &Path,
+) -> Result<Option<(StreamMonitor, RecoveryReport)>, RestoreError> {
+    if !monitor_dir.is_dir() {
+        return Ok(None);
+    }
+    let cfg: StreamConfig = serde_json::from_str(&read_file(&monitor_dir.join("config.json"))?)?;
+    // `recover` reads a missing directory as an empty log, which would
+    // restore a damaged dump as a blank monitor.
+    let wal_dir = monitor_dir.join("wal");
+    fs::metadata(&wal_dir).map_err(|source| RestoreError::Io {
+        op: "open",
+        path: wal_dir.clone(),
+        source,
+    })?;
+    Ok(Some(StreamMonitor::recover(&wal_dir, cfg)?))
 }
 
 #[cfg(test)]
@@ -569,6 +619,85 @@ mod tests {
         let err = restore(&dir).unwrap_err();
         assert!(matches!(err, RestoreError::Io { .. }), "{err}");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A dump of the sample lens with a WAL-logged monitor at
+    /// `state_version` 5; returns the dump and the live WAL directories.
+    fn dump_with_monitor(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = temp_dump_dir(tag);
+        let wal_dir = temp_dump_dir(&format!("{tag}-wal"));
+        let monitor = StreamMonitor::new(StreamConfig::default()).unwrap();
+        monitor.attach_wal(WalWriter::open(&wal_dir, WalConfig::default()).unwrap());
+        for t in 0..5 {
+            monitor.ingest(ServerUsageRecord {
+                time: Timestamp::new(t * 60),
+                machine: MachineId::new(1),
+                util: UtilizationTriple::clamped(0.95, 0.3, 0.2),
+            });
+        }
+        assert_eq!(monitor.state_version(), 5);
+        dump(&dir, &sample_lens(), Some(&monitor)).unwrap();
+        (dir, wal_dir)
+    }
+
+    #[test]
+    fn a_monitor_without_its_wal_is_an_error_not_a_blank_monitor() {
+        let (dir, wal_dir) = dump_with_monitor("lost-wal");
+        let restored = restore(&dir).unwrap().monitor.unwrap();
+        assert_eq!(restored.state_version(), 5);
+        fs::remove_dir_all(dir.join("monitor").join("wal")).unwrap();
+        match restore(&dir) {
+            Err(RestoreError::Io { path, .. }) => {
+                assert!(path.ends_with("monitor/wal"), "{}", path.display());
+            }
+            other => panic!("expected an Io error naming monitor/wal, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&wal_dir).ok();
+    }
+
+    #[test]
+    fn the_lens_half_error_wins_over_the_monitor_half_error() {
+        use crate::stream::StreamConfigError;
+        let (dir, wal_dir) = dump_with_monitor("precedence");
+        let invalid = StreamConfig {
+            alert_capacity: 0,
+            ..StreamConfig::default()
+        };
+        fs::write(
+            dir.join("monitor").join("config.json"),
+            serde_json::to_string(&invalid).unwrap(),
+        )
+        .unwrap();
+
+        // An intact lens half: the monitor half's error.
+        let err = restore(&dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RestoreError::Recover(RecoverError::Config(StreamConfigError::ZeroAlertCapacity))
+            ),
+            "{err}"
+        );
+
+        // A malformed session log: its error, not the monitor's.
+        let session = dir.join("session.json");
+        let log = fs::read_to_string(&session).unwrap();
+        fs::write(&session, "{").unwrap();
+        let err = restore(&dir).unwrap_err();
+        assert!(matches!(err, RestoreError::Deserialize(_)), "{err}");
+
+        // No segment store: the store's error, not the monitor's.
+        fs::write(&session, log).unwrap();
+        fs::remove_dir_all(dir.join("dataset")).unwrap();
+        match restore(&dir) {
+            Err(RestoreError::Trace(TraceError::Io { path, .. })) => {
+                assert!(path.ends_with("dataset"), "{path}");
+            }
+            other => panic!("expected the store's Io error, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+        fs::remove_dir_all(&wal_dir).ok();
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! reported `[offset, offset+len)` region *contains* the flipped byte —
 //! never a panic, never a silently different dataset. A third covers the
 //! durability integration: `dump`/`restore` of a lens goes through the
-//! segment store, which is the dump's only copy of the tables.
+//! segment store, which is the dump's only copy of the tables. The dump
+//! also holds a WAL-logged monitor: `restore`, which rebuilds the lens and
+//! the monitor concurrently, must return exactly what a direct
+//! `StreamMonitor::recover` of the dumped WAL and a direct store open plus
+//! `BatchLens::with_session` return.
 
 use std::fs;
 use std::path::PathBuf;
@@ -21,13 +25,15 @@ use batchlens::analytics::coalloc::CoallocationIndex;
 use batchlens::analytics::hierarchy::HierarchySnapshot;
 use batchlens::analytics::scrub::SnapshotScrubber;
 use batchlens::durability;
+use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::store::{self, StoreConfig};
+use batchlens::trace::wal::{WalConfig, WalWriter};
 use batchlens::trace::{
     BatchInstanceRecord, BatchTaskRecord, DatasetQuery, JobId, MachineEvent, MachineEventRecord,
     MachineId, ServerUsageRecord, TaskId, TaskStatus, Timestamp, TraceDataset, TraceDatasetBuilder,
     TraceError, UtilizationTriple,
 };
-use batchlens::BatchLens;
+use batchlens::{BatchLens, Event};
 use proptest::prelude::*;
 
 const MACHINES: u32 = 6;
@@ -332,21 +338,79 @@ proptest! {
 
     /// Durability integration: a dumped lens restores from its segment
     /// store bit-identically, and a dump whose store is gone is a typed
-    /// error, not a panic.
+    /// error, not a panic. The dump also holds a WAL-logged monitor fed the
+    /// case's usage, instance starts and finishes, and machine events.
+    /// `restore` runs its lens and monitor halves concurrently (in series
+    /// under `BATCHLENS_THREADS=1`); either way it must return the monitor
+    /// a direct recovery of the dumped WAL returns, and the lens a direct
+    /// store open plus session replay returns.
     #[test]
     fn lens_dump_restore_rides_the_segment_payload(
         instances in prop::collection::vec(instance_strategy(), 1..24),
         usage in prop::collection::vec(usage_strategy(), 1..32),
         events in prop::collection::vec(event_strategy(), 0..8),
+        alert_capacity in 1usize..8,
+        selected in 0i64..4_000,
     ) {
-        let ds = build_dataset(&instances, &usage, &events);
-        let lens = BatchLens::new(ds);
+        let mut lens = BatchLens::new(build_dataset(&instances, &usage, &events));
+        lens.apply(Event::SelectTimestamp(Timestamp::new(selected)));
+        lens.apply(Event::SelectJob(JobId::new(instances[0].job)));
+        let cfg = StreamConfig {
+            alert_capacity,
+            ..StreamConfig::default()
+        };
+        let wal_dir = scratch_dir("lens-wal");
+        let monitor = StreamMonitor::new(cfg).expect("valid config");
+        monitor.attach_wal(WalWriter::open(&wal_dir, WalConfig::default()).expect("open wal"));
+        let key = |seq: usize, spec: &InstanceSpec| {
+            (JobId::new(spec.job), TaskId::new(spec.task), seq as u32)
+        };
+        for (seq, spec) in instances.iter().enumerate() {
+            let (job, task, seq) = key(seq, spec);
+            let machine = MachineId::new(spec.machine);
+            monitor.instance_started(job, task, seq, machine, Timestamp::new(spec.start));
+        }
+        for r in &usage {
+            monitor.ingest(*r);
+        }
+        for (seq, spec) in instances.iter().enumerate() {
+            let (job, task, seq) = key(seq, spec);
+            monitor.instance_finished(job, task, seq, Timestamp::new(spec.start + spec.dur));
+        }
+        for ev in &events {
+            monitor.ingest_machine_event(*ev);
+        }
         let dir = scratch_dir("lens");
-        let report = durability::dump(&dir, &lens, None).expect("dump");
+        let report = durability::dump(&dir, &lens, Some(&monitor)).expect("dump");
         prop_assert!(report.dataset.segments > 0, "the dump writes a segment payload");
         let restored = durability::restore(&dir).expect("segment-backed restore");
         prop_assert_eq!(restored.lens.dataset(), lens.dataset());
         assert_query_surface_identical(restored.lens.dataset(), lens.dataset())?;
+
+        let dataset = TraceDataset::open(&dir.join("dataset")).expect("open dumped store");
+        let direct_lens = BatchLens::with_session(dataset, lens.log().clone());
+        prop_assert_eq!(restored.lens.dataset(), direct_lens.dataset());
+        prop_assert_eq!(restored.lens.view(), direct_lens.view());
+
+        let (direct, report) =
+            StreamMonitor::recover(&dir.join("monitor").join("wal"), cfg).expect("recover");
+        prop_assert_eq!(restored.monitor_report, Some(report));
+        let rm = restored.monitor.expect("the dump holds a monitor");
+        prop_assert_eq!(rm.state_version(), monitor.state_version());
+        prop_assert_eq!(rm.state_version(), direct.state_version());
+        prop_assert_eq!(rm.ingested(), direct.ingested());
+        prop_assert_eq!(rm.stale_dropped(), direct.stale_dropped());
+        prop_assert_eq!(rm.total_alerts(), direct.total_alerts());
+        prop_assert_eq!(rm.next_alert_seq(), direct.next_alert_seq());
+        prop_assert_eq!(rm.alerts_since(0), direct.alerts_since(0));
+        for t in sample_times() {
+            prop_assert_eq!(
+                rm.live_view().frame(t),
+                direct.live_view().frame(t),
+                "monitor frame({})",
+                t
+            );
+        }
 
         fs::remove_dir_all(dir.join("dataset")).expect("drop segment payload");
         prop_assert!(matches!(
@@ -354,6 +418,7 @@ proptest! {
             Err(durability::RestoreError::Trace(TraceError::Io { .. }))
         ));
         let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&wal_dir);
     }
 }
 
