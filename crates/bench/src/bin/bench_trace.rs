@@ -762,10 +762,9 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     // --- restart from a dump of the lens and a `StreamConfig::default()`
     //     monitor fed the usage in epochs: the lens half (session log,
     //     store open, lens build) and then the monitor half (config, WAL
-    //     replay) vs `durability::restore`, which runs the two halves
-    //     concurrently when the host has a second core, so its column
-    //     scales with the core count. Both restore equal datasets and
-    //     monitors (checked here once). ---
+    //     replay) vs `durability::restore`, which runs the two halves on
+    //     two threads, so its column scales with the core count. Both
+    //     restore equal datasets and monitors (checked here once). ---
     use batchlens::{durability, BatchLens, SessionLog};
     let scratch = |kind: &str| {
         let dir = std::env::temp_dir().join(format!(
@@ -1200,8 +1199,8 @@ fn main() {
     // host's core count, not with the code — a CI runner with fewer cores
     // than the machine that committed the file would fail with no real
     // regression. The `restore_` rows are excluded for the same reason:
-    // `durability::restore` overlaps its two halves only when the host has
-    // a second core.
+    // `durability::restore`'s two threads overlap only when the host has a
+    // second core.
     let guarded = |name: &str| {
         !name.starts_with("timeline_mean_par_")
             && !name.starts_with("dataset_build_")

@@ -27,9 +27,8 @@
 //! [`restore`] reads the lens's files (`session.json`, `dataset/`) and the
 //! monitor's (`monitor/`) independently, so it rebuilds the two
 //! **concurrently**: a restart waits for the slower of the WAL replay and
-//! the lens build, not for their sum. Under `BATCHLENS_THREADS=1`, or on
-//! one core, it runs them in series, lens first. Either way the lens
-//! half's error wins when both fail.
+//! the lens build, not for their sum. When both fail, the lens half's
+//! error wins.
 
 use std::fs;
 use std::io;
@@ -276,12 +275,9 @@ pub fn dump(
 /// The lens half (session log, store open, lens build) and the monitor
 /// half (config, WAL replay) share no files, so they run concurrently:
 /// the monitor half on a scoped thread, the lens half on the calling
-/// thread. When the process default worker count
-/// ([`batchlens_exec::default_threads`]) is one — `BATCHLENS_THREADS=1`,
-/// or a single-core host — they run in series, lens first. Both halves'
-/// working sets are live at once: the WAL reader holds the whole
-/// compacted log while the lens is built. The call returns once both
-/// halves have finished, even when one of them failed.
+/// thread. Both halves' working sets are live at once: the WAL reader
+/// holds the whole compacted log while the lens is built. The call
+/// returns once both halves have finished, even when one of them failed.
 ///
 /// # Errors
 ///
@@ -289,28 +285,22 @@ pub fn dump(
 /// malformed JSON, an invalid dumped monitor configuration, or a
 /// `monitor/` without its `wal/` directory (a [`RestoreError::Io`] naming
 /// it: [`dump`] always writes one). When both halves fail, the lens
-/// half's error wins, as it would in series. Corrupt WAL *contents* are
-/// not an error — replay stops at the last intact record and the report
-/// says so.
+/// half's error wins. Corrupt WAL *contents* are not an error — replay
+/// stops at the last intact record and the report says so.
 pub fn restore(dir: &Path) -> Result<RestoredLens, RestoreError> {
-    let monitor_half = || restore_monitor(&dir.join("monitor"));
-    let (lens, monitor) = if batchlens_exec::default_threads() <= 1 {
-        (restore_lens(dir)?, monitor_half()?)
-    } else {
-        // The lens half stays on the calling thread, so its allocations
-        // come from the caller's malloc arena, which holds what an earlier
-        // lens freed. With both halves on fresh threads, each drawing on
-        // its own arena, the peak resident set of the replay benchmark's
-        // `crash_restart` workload rose by about a quarter.
-        std::thread::scope(|scope| {
-            let monitor = scope.spawn(monitor_half);
-            let lens = restore_lens(dir);
-            let monitor = monitor
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            Ok::<_, RestoreError>((lens?, monitor?))
-        })?
-    };
+    // The lens half stays on the calling thread, so its allocations come
+    // from the caller's malloc arena, which holds what an earlier lens
+    // freed. With both halves on fresh threads, each drawing on its own
+    // arena, the peak resident set of the replay benchmark's
+    // `crash_restart` workload rose by about a quarter.
+    let (lens, monitor) = std::thread::scope(|scope| {
+        let monitor = scope.spawn(|| restore_monitor(&dir.join("monitor")));
+        let lens = restore_lens(dir);
+        let monitor = monitor
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        Ok::<_, RestoreError>((lens?, monitor?))
+    })?;
     let (monitor, monitor_report) = monitor.unzip();
     Ok(RestoredLens {
         lens,

@@ -340,10 +340,9 @@ proptest! {
     /// store bit-identically, and a dump whose store is gone is a typed
     /// error, not a panic. The dump also holds a WAL-logged monitor fed the
     /// case's usage, instance starts and finishes, and machine events.
-    /// `restore` runs its lens and monitor halves concurrently (in series
-    /// under `BATCHLENS_THREADS=1`); either way it must return the monitor
-    /// a direct recovery of the dumped WAL returns, and the lens a direct
-    /// store open plus session replay returns.
+    /// `restore` runs its lens and monitor halves concurrently; it must
+    /// return the monitor a direct recovery of the dumped WAL returns, and
+    /// the lens a direct store open plus session replay returns.
     #[test]
     fn lens_dump_restore_rides_the_segment_payload(
         instances in prop::collection::vec(instance_strategy(), 1..24),
