@@ -8,7 +8,8 @@
 //!
 //! [`DatasetStats::compute`] measures all of these on any [`TraceDataset`],
 //! so the simulator's output can be asserted against the paper's shape and
-//! the `table_dataset_stats` bench can print the comparison table.
+//! the `figures` binary can write the comparison table
+//! (`table_dataset_stats.txt`).
 
 use serde::{Deserialize, Serialize};
 
