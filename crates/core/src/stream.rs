@@ -29,6 +29,7 @@
 //! rolling state, taken exactly once per ingest — and pairs with a
 //! `crossbeam` channel for producer/consumer ingest.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::Path;
@@ -500,8 +501,9 @@ struct Inner {
     total_alerts: u64,
     alerts_overflowed: u64,
     /// The write-ahead log, when attached: every delivery is appended here
-    /// **before** it is applied, under this same lock, so append order is
-    /// exactly apply order.
+    /// **before** `StreamMonitor::apply` applies it, under this same lock,
+    /// so append order is apply order, and replay runs the same `apply`
+    /// over the log in that order.
     wal: Option<WalWriter>,
     /// Appends that failed at the IO layer. Monitoring must keep running on
     /// a full disk; the gap is surfaced here (and in `last_wal_error`)
@@ -543,7 +545,7 @@ impl Inner {
     /// ([`WalWriter::append_all`]) — and is a no-op without one. Called
     /// before the mutations are applied; an IO failure counts once per
     /// group and is not propagated — see [`StreamMonitor::wal_errors`].
-    fn log_wal(&mut self, records: impl IntoIterator<Item = WalRecord>) {
+    fn log_wal(&mut self, records: impl IntoIterator<Item = impl Borrow<WalRecord>>) {
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.append_all(records) {
                 self.wal_errors += 1;
@@ -802,12 +804,12 @@ impl StreamMonitor {
     /// Rebuilds a monitor from the write-ahead log in `dir`, with the
     /// default detector set of [`StreamMonitor::new`].
     ///
-    /// Replay applies every intact logged delivery through the normal
-    /// ingest paths, so the recovered monitor reaches the **exact pre-crash
-    /// state**: `state_version`, every counter (including straggler
-    /// rejections), window contents and evictions, detector kernel states,
-    /// and the alert buffer are all bit-identical to the monitor that wrote
-    /// the log — the workspace `crash_recovery_differential` suite enforces
+    /// Replay applies every intact logged delivery through the same apply
+    /// step that applied it live, so the recovered monitor reaches the
+    /// **exact pre-crash state**: `state_version`, every counter (including
+    /// straggler rejections), window contents and evictions, detector
+    /// kernel states, and the alert buffer are all bit-identical to the
+    /// monitor that wrote the log — the workspace `crash_recovery_differential` suite enforces
     /// this for arbitrary kill points.
     ///
     /// Recovery **degrades gracefully, never panics**: a torn final record,
@@ -862,33 +864,7 @@ impl StreamMonitor {
     /// recovered monitor. If a WAL is attached, the applied record is
     /// logged again (it is a fresh delivery from this monitor's view).
     pub fn apply_replayed(&self, record: WalRecord) {
-        match record {
-            WalRecord::Usage(r) => {
-                self.ingest(r);
-            }
-            WalRecord::Instance(r) => self.ingest_instance(r),
-            WalRecord::InstanceStarted {
-                job,
-                task,
-                seq,
-                machine,
-                at,
-            } => self.instance_started(job, task, seq, machine, at),
-            WalRecord::InstanceFinished { job, task, seq, at } => {
-                self.instance_finished(job, task, seq, at);
-            }
-            WalRecord::MachineEvent(r) => self.ingest_machine_event(r),
-            // Written only by monitors from before alert cursors, whose
-            // destructive drain emptied the buffer. Replaying the marker
-            // empties it too, so an old log recovers exactly the alerts
-            // its writer had not handed out.
-            WalRecord::AlertsDrained => {
-                let mut inner = self.inner.lock();
-                inner.log_wal([WalRecord::AlertsDrained]);
-                inner.alerts.clear();
-            }
-            WalRecord::EpochSealed(version) => self.seal_epoch(version),
-        }
+        self.deliver(record);
     }
 
     /// Attaches a write-ahead log: from now on every delivery is appended
@@ -971,22 +947,127 @@ impl StreamMonitor {
     /// timestamp, are dropped and counted in
     /// [`StreamMonitor::stale_dropped`] — never silently ignored.
     pub fn ingest(&self, rec: ServerUsageRecord) -> Vec<Alert> {
-        let mut alerts = Vec::new();
-        let mut inner = self.inner.lock();
-        inner.log_wal([WalRecord::Usage(rec)]);
-        self.apply_usage(&mut inner, rec, &mut alerts);
-        alerts
+        self.deliver(WalRecord::Usage(rec)).0
     }
 
-    /// The per-record ingest step, shared verbatim by [`StreamMonitor::ingest`]
-    /// (one lock, one record) and [`StreamMonitor::ingest_batch`] (one lock,
-    /// many records) — which is what makes the batch path bit-identical to
-    /// record-at-a-time ingestion, `state_version` included.
+    /// The path of every one-delivery call, live or replayed: takes the
+    /// lock, logs `delivery` to the attached WAL, then applies it. Returns
+    /// the alerts it fired and whether it moved `state_version`.
+    fn deliver(&self, delivery: WalRecord) -> (Vec<Alert>, bool) {
+        let mut alerts = Vec::new();
+        let mut inner = self.inner.lock();
+        inner.log_wal([&delivery]);
+        let version = inner.version;
+        self.apply(&mut inner, delivery, &mut alerts);
+        (alerts, inner.version != version)
+    }
+
+    /// How one delivery changes the monitor — the only definition, shared
+    /// by live ingest, [`StreamMonitor::ingest_batch`] and WAL replay, which
+    /// is what makes a recovered monitor bit-identical to the one that
+    /// wrote the log.
     ///
-    /// Callers log the delivery first — even one this step rejects as a
-    /// straggler, because replaying every *delivery* (acceptance decisions
-    /// depend only on prior deliveries) is what makes recovery reproduce
-    /// `stale_dropped` and `late_accepted` exactly.
+    /// Callers log the delivery first — even one this step rejects (a
+    /// straggler, a finish without a start), because replaying every
+    /// *delivery* (acceptance decisions depend only on prior deliveries)
+    /// is what makes recovery reproduce `stale_dropped` and
+    /// `late_accepted` exactly.
+    fn apply(&self, inner: &mut Inner, delivery: WalRecord, alerts: &mut Vec<Alert>) {
+        match delivery {
+            WalRecord::Usage(rec) => self.apply_usage(inner, rec, alerts),
+            WalRecord::Instance(rec) => {
+                let live = &mut inner.live;
+                live.known_machines.insert(rec.machine);
+                if let Some(id) = live.open_instances.remove(&(rec.job, rec.task, rec.seq)) {
+                    live.intervals.remove(id);
+                    live.free_ids.push(id);
+                }
+                if rec.start_time < rec.end_time {
+                    let id = live.alloc_id((rec.job, rec.task, rec.machine));
+                    live.intervals.insert(rec.start_time, rec.end_time, id);
+                }
+                inner.ingested_instances += 1;
+                inner.version += 1;
+                live.advance(rec.end_time.max(rec.start_time), self.cfg.horizon);
+            }
+            WalRecord::InstanceStarted {
+                job,
+                task,
+                seq,
+                machine,
+                at,
+            } => {
+                let live = &mut inner.live;
+                live.known_machines.insert(machine);
+                if let Some(&id) = live.open_instances.get(&(job, task, seq)) {
+                    live.intervals.remove(id);
+                    live.free_ids.push(id);
+                }
+                let id = live.alloc_id((job, task, machine));
+                live.intervals.open(at, id);
+                live.open_instances.insert((job, task, seq), id);
+                inner.ingested_instances += 1;
+                inner.version += 1;
+                live.advance(at, self.cfg.horizon);
+            }
+            WalRecord::InstanceFinished { job, task, seq, at } => {
+                let live = &mut inner.live;
+                let Some(id) = live.open_instances.remove(&(job, task, seq)) else {
+                    return;
+                };
+                match live.intervals.close(id, at) {
+                    Some(start) if start < at => {}
+                    // Closed empty (or the id was unexpectedly gone): the id
+                    // is free immediately rather than via eviction.
+                    _ => live.free_ids.push(id),
+                }
+                inner.version += 1;
+                live.advance(at, self.cfg.horizon);
+            }
+            WalRecord::MachineEvent(rec) => {
+                let live = &mut inner.live;
+                live.known_machines.insert(rec.machine);
+                let alive = rec.event.keeps_alive();
+                let checkpoints = live.liveness.entry(rec.machine).or_default();
+                // Events sharing a timestamp merge dead-wins — the same
+                // arrival-order-independent tie-break the batch index
+                // applies, so out-of-order delivery of equal-time events
+                // cannot diverge from it.
+                let pos = checkpoints.partition_point(|&(t, _)| t < rec.time);
+                match checkpoints.get_mut(pos) {
+                    Some((t, a)) if *t == rec.time => *a = *a && alive,
+                    _ => checkpoints.insert(pos, (rec.time, alive)),
+                }
+                // Bound the rolling list: checkpoints wholly behind the
+                // window are compressed sample-and-hold — drop everything
+                // before the last one at or behind the cutoff, which alone
+                // decides liveness there. Done per machine on its own (rare)
+                // event arrivals, so advance() stays O(evicted) on the hot
+                // ingest paths.
+                if let Some(frontier) = live.frontier {
+                    let cutoff = frontier - self.cfg.horizon;
+                    let keep_from = checkpoints
+                        .partition_point(|&(t, _)| t <= cutoff)
+                        .saturating_sub(1);
+                    checkpoints.drain(..keep_from);
+                }
+                inner.ingested_events += 1;
+                inner.version += 1;
+            }
+            // Written only by monitors from before alert cursors, whose
+            // destructive drain emptied the buffer. Replaying the marker
+            // empties it too, so an old log recovers exactly the alerts
+            // its writer had not handed out.
+            WalRecord::AlertsDrained => inner.alerts.clear(),
+            // Not query-visible: sealing bumps no version.
+            WalRecord::EpochSealed(epoch) => inner.sealed_epoch = Some(epoch),
+        }
+    }
+
+    /// The usage step of [`StreamMonitor::apply`], which
+    /// [`StreamMonitor::ingest_batch`] also runs once per record of its
+    /// epoch, so the batch path is bit-identical to record-at-a-time
+    /// ingestion, `state_version` included.
     fn apply_usage(&self, inner: &mut Inner, rec: ServerUsageRecord, alerts: &mut Vec<Alert>) {
         let util = [
             rec.util.cpu.fraction(),
@@ -1051,9 +1132,10 @@ impl StreamMonitor {
     /// ([`WalRecord::EpochSealed`]) are logged first, as one group.
     ///
     /// **Equivalence contract** (enforced by the workspace
-    /// `batched_ingest_equivalence` suite): the resulting monitor state is
-    /// bit-identical to ingesting the same records one
-    /// [`StreamMonitor::ingest`] call at a time — windows, detector kernel
+    /// `batched_ingest_equivalence` suite): each record goes through the
+    /// same usage step that [`StreamMonitor::ingest`] and WAL replay apply,
+    /// so the resulting monitor state is bit-identical to ingesting the
+    /// same records one `ingest` call at a time — windows, detector kernel
     /// states, counters, retained alerts, *and* `state_version`, which
     /// advances once per accepted record in both paths (the lock is
     /// amortized, the version is not). The only divergence is in the log
@@ -1078,31 +1160,15 @@ impl StreamMonitor {
         for &rec in &batch.records {
             self.apply_usage(&mut inner, rec, &mut alerts);
         }
-        inner.sealed_epoch = Some(batch.version);
+        let seal = WalRecord::EpochSealed(batch.version);
+        self.apply(&mut inner, seal, &mut alerts);
         alerts
-    }
-
-    /// The replay step of an `EpochSealed` record: logs the marker (when a
-    /// WAL is attached) and advances the sealed-epoch frontier without
-    /// ingesting anything. Not query-visible (no version bump).
-    fn seal_epoch(&self, epoch: u64) {
-        let mut inner = self.inner.lock();
-        inner.log_wal([WalRecord::EpochSealed(epoch)]);
-        inner.sealed_epoch = Some(epoch);
     }
 
     /// The highest batch epoch sealed into this monitor (live or via
     /// replay), if any.
     pub fn sealed_epoch(&self) -> Option<u64> {
         self.inner.lock().sealed_epoch
-    }
-
-    /// Ingests many records, collecting every alert.
-    pub fn ingest_all<I>(&self, records: I) -> Vec<Alert>
-    where
-        I: IntoIterator<Item = ServerUsageRecord>,
-    {
-        records.into_iter().flat_map(|r| self.ingest(r)).collect()
     }
 
     /// Number of records ingested so far (stragglers excluded).
@@ -1128,22 +1194,7 @@ impl StreamMonitor {
     /// a query, exactly as in the batch dataset. Re-ingesting an instance
     /// key that is currently open replaces the open interval.
     pub fn ingest_instance(&self, rec: BatchInstanceRecord) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.log_wal([WalRecord::Instance(rec)]);
-        let live = &mut inner.live;
-        live.known_machines.insert(rec.machine);
-        if let Some(id) = live.open_instances.remove(&(rec.job, rec.task, rec.seq)) {
-            live.intervals.remove(id);
-            live.free_ids.push(id);
-        }
-        if rec.start_time < rec.end_time {
-            let id = live.alloc_id((rec.job, rec.task, rec.machine));
-            live.intervals.insert(rec.start_time, rec.end_time, id);
-        }
-        inner.ingested_instances += 1;
-        inner.version += 1;
-        live.advance(rec.end_time.max(rec.start_time), self.cfg.horizon);
+        self.deliver(WalRecord::Instance(rec));
     }
 
     /// Bulk-ingests completed instance records.
@@ -1169,27 +1220,13 @@ impl StreamMonitor {
         machine: MachineId,
         at: Timestamp,
     ) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.log_wal([WalRecord::InstanceStarted {
+        self.deliver(WalRecord::InstanceStarted {
             job,
             task,
             seq,
             machine,
             at,
-        }]);
-        let live = &mut inner.live;
-        live.known_machines.insert(machine);
-        if let Some(&id) = live.open_instances.get(&(job, task, seq)) {
-            live.intervals.remove(id);
-            live.free_ids.push(id);
-        }
-        let id = live.alloc_id((job, task, machine));
-        live.intervals.open(at, id);
-        live.open_instances.insert((job, task, seq), id);
-        inner.ingested_instances += 1;
-        inner.version += 1;
-        live.advance(at, self.cfg.horizon);
+        });
     }
 
     /// Closes the open interval of instance `(job, task, seq)` at `at` —
@@ -1197,24 +1234,9 @@ impl StreamMonitor {
     /// start was seen; an end at or before the recorded start drops the
     /// interval as empty, matching batch semantics.
     pub fn instance_finished(&self, job: JobId, task: TaskId, seq: u32, at: Timestamp) -> bool {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        // Logged even when no matching start exists: the no-op outcome is
-        // itself deterministic on replay.
-        inner.log_wal([WalRecord::InstanceFinished { job, task, seq, at }]);
-        let live = &mut inner.live;
-        let Some(id) = live.open_instances.remove(&(job, task, seq)) else {
-            return false;
-        };
-        match live.intervals.close(id, at) {
-            Some(start) if start < at => {}
-            // Closed empty (or the id was unexpectedly gone): the id is free
-            // immediately rather than via eviction.
-            _ => live.free_ids.push(id),
-        }
-        inner.version += 1;
-        live.advance(at, self.cfg.horizon);
-        true
+        // Only a finish with a matching start moves the version.
+        let (_, moved) = self.deliver(WalRecord::InstanceFinished { job, task, seq, at });
+        moved
     }
 
     /// Ingests one machine lifecycle event as a rolling liveness checkpoint
@@ -1223,35 +1245,7 @@ impl StreamMonitor {
     /// the batch dataset's: a machine is alive after an event unless it was
     /// `Remove`/`HardError`; machines without events count alive.
     pub fn ingest_machine_event(&self, rec: MachineEventRecord) {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.log_wal([WalRecord::MachineEvent(rec)]);
-        let live = &mut inner.live;
-        live.known_machines.insert(rec.machine);
-        let alive = rec.event.keeps_alive();
-        let checkpoints = live.liveness.entry(rec.machine).or_default();
-        // Events sharing a timestamp merge dead-wins — the same
-        // arrival-order-independent tie-break the batch index applies, so
-        // out-of-order delivery of equal-time events cannot diverge from it.
-        let pos = checkpoints.partition_point(|&(t, _)| t < rec.time);
-        match checkpoints.get_mut(pos) {
-            Some((t, a)) if *t == rec.time => *a = *a && alive,
-            _ => checkpoints.insert(pos, (rec.time, alive)),
-        }
-        // Bound the rolling list: checkpoints wholly behind the window are
-        // compressed sample-and-hold — drop everything before the last one
-        // at or behind the cutoff, which alone decides liveness there. Done
-        // per machine on its own (rare) event arrivals, so advance() stays
-        // O(evicted) on the hot ingest paths.
-        if let Some(frontier) = live.frontier {
-            let cutoff = frontier - self.cfg.horizon;
-            let keep_from = checkpoints
-                .partition_point(|&(t, _)| t <= cutoff)
-                .saturating_sub(1);
-            checkpoints.drain(..keep_from);
-        }
-        inner.ingested_events += 1;
-        inner.version += 1;
+        self.deliver(WalRecord::MachineEvent(rec));
     }
 
     /// Number of instance records/start events ingested into the rolling
@@ -1649,18 +1643,6 @@ mod tests {
         let l = m.latest(MachineId::new(2)).unwrap();
         assert!((l[0] - 0.5).abs() < 1e-9);
         assert!(m.latest(MachineId::new(99)).is_none());
-    }
-
-    #[test]
-    fn ingest_all_collects_alerts() {
-        let m = StreamMonitor::new(StreamConfig::default()).unwrap();
-        let recs = vec![
-            rec(1, 0, 0.2, 0.2, 0.2),
-            rec(1, 60, 0.95, 0.2, 0.2),
-            rec(2, 0, 0.99, 0.2, 0.2),
-        ];
-        let alerts = m.ingest_all(recs);
-        assert_eq!(alerts.len(), 2);
     }
 
     #[test]
