@@ -69,8 +69,10 @@ pub fn reduce(state: &mut ViewState, event: Event) -> bool {
         Event::SetDetailMetric(metric) => state.set_metric(metric),
         Event::TogglePin(job) => state.toggle_pin(job),
         Event::StepTimestamp(delta) => {
-            let t = state.selected_timestamp() + batchlens_trace::TimeDelta::seconds(delta);
-            state.set_timestamp(t);
+            // `delta` comes from outside the program (a session event or
+            // log), so the step saturates; the clamp bounds it either way.
+            let t = state.selected_timestamp().seconds().saturating_add(delta);
+            state.set_timestamp(Timestamp::new(t));
         }
         Event::ToggleAnomalies => state.toggle_anomalies(),
     }
@@ -145,6 +147,11 @@ mod tests {
         assert_eq!(v.selected_timestamp(), Timestamp::new(400));
         reduce(&mut v, Event::StepTimestamp(-100_000));
         assert_eq!(v.selected_timestamp(), Timestamp::new(0));
+        reduce(&mut v, Event::SelectTimestamp(Timestamp::new(43800)));
+        reduce(&mut v, Event::StepTimestamp(i64::MAX));
+        assert_eq!(v.selected_timestamp(), extent().end());
+        reduce(&mut v, Event::StepTimestamp(i64::MIN));
+        assert_eq!(v.selected_timestamp(), extent().start());
     }
 
     #[test]

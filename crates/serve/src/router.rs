@@ -331,6 +331,26 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_step_lands_at_the_extent_end() {
+        let (manager, stats) = ctx_fixture();
+        let ctx = RouterContext {
+            manager: &manager,
+            stats: &stats,
+            workers: 1,
+        };
+        let created = manager.create();
+        let events = format!("/sessions/{}/events", created.session);
+        let select = format!("{{\"SelectTimestamp\": {}}}", scenario::T_FIG3B.seconds());
+        assert_eq!(route(&ctx, &post(&events, &select)).status, 200);
+        let step = format!("{{\"StepTimestamp\": {}}}", i64::MAX);
+        let stepped = route(&ctx, &post(&events, &step));
+        assert_eq!(stepped.status, 200);
+        let summary: crate::session::ViewSummary =
+            serde_json::from_str(std::str::from_utf8(&stepped.body).unwrap()).unwrap();
+        assert_eq!(summary.at, created.extent.end());
+    }
+
+    #[test]
     fn oversized_ascii_renders_are_refused_with_the_limit() {
         let (manager, stats) = ctx_fixture();
         let ctx = RouterContext {
