@@ -29,7 +29,6 @@
 //! rolling state, taken exactly once per ingest — and pairs with a
 //! `crossbeam` channel for producer/consumer ingest.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::Path;
@@ -545,7 +544,7 @@ impl Inner {
     /// ([`WalWriter::append_all`]) — and is a no-op without one. Called
     /// before the mutations are applied; an IO failure counts once per
     /// group and is not propagated — see [`StreamMonitor::wal_errors`].
-    fn log_wal(&mut self, records: impl IntoIterator<Item = impl Borrow<WalRecord>>) {
+    fn log_wal(&mut self, records: impl IntoIterator<Item = WalRecord>) {
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.append_all(records) {
                 self.wal_errors += 1;
@@ -953,10 +952,17 @@ impl StreamMonitor {
     /// The path of every one-delivery call, live or replayed: takes the
     /// lock, logs `delivery` to the attached WAL, then applies it. Returns
     /// the alerts it fired and whether it moved `state_version`.
+    ///
+    /// Inlined with [`StreamMonitor::apply`], so each public method
+    /// compiles to its own arm: called out of line, the dispatch made a
+    /// one-record `ingest` about a quarter slower.
+    #[inline(always)]
     fn deliver(&self, delivery: WalRecord) -> (Vec<Alert>, bool) {
         let mut alerts = Vec::new();
         let mut inner = self.inner.lock();
-        inner.log_wal([&delivery]);
+        // A copy, so the match in `apply` still sees the variant the caller
+        // built and folds away.
+        inner.log_wal([delivery.clone()]);
         let version = inner.version;
         self.apply(&mut inner, delivery, &mut alerts);
         (alerts, inner.version != version)
@@ -972,6 +978,7 @@ impl StreamMonitor {
     /// *delivery* (acceptance decisions depend only on prior deliveries)
     /// is what makes recovery reproduce `stale_dropped` and
     /// `late_accepted` exactly.
+    #[inline(always)]
     fn apply(&self, inner: &mut Inner, delivery: WalRecord, alerts: &mut Vec<Alert>) {
         match delivery {
             WalRecord::Usage(rec) => self.apply_usage(inner, rec, alerts),
