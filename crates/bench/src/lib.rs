@@ -1,4 +1,4 @@
-//! The workload builder of the BatchLens benchmark binaries.
+//! The shared workload of the BatchLens benchmark binaries.
 //!
 //! The `bench_trace` binary times the sweep, index, stream and render
 //! kernels against naive references and writes `BENCH_trace.json`; its

@@ -808,8 +808,9 @@ impl StreamMonitor {
     /// **exact pre-crash state**: `state_version`, every counter (including
     /// straggler rejections), window contents and evictions, detector
     /// kernel states, and the alert buffer are all bit-identical to the
-    /// monitor that wrote the log — the workspace `crash_recovery_differential` suite enforces
-    /// this for arbitrary kill points.
+    /// monitor that wrote the log — the workspace
+    /// `crash_recovery_differential` suite enforces this for arbitrary kill
+    /// points.
     ///
     /// Recovery **degrades gracefully, never panics**: a torn final record,
     /// a truncated segment, or a corrupted body stops replay at the last
