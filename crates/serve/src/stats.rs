@@ -95,10 +95,9 @@ impl ServeStats {
     }
 
     /// Builds the `/statsz` payload from these counters plus the session
-    /// manager's per-session rows and the lens's cache counters.
+    /// manager's per-session rows and the lens's frame-cache counters.
     pub fn snapshot(&self, manager: &SessionManager, workers: usize) -> StatszPayload {
         let (frame_hits, frame_misses) = manager.lens().frame_cache_stats();
-        let (snap_hits, snap_misses) = manager.lens().snapshot_cache_stats();
         let live = manager.lens().live_monitor();
         let total = frame_hits + frame_misses;
         StatszPayload {
@@ -127,15 +126,6 @@ impl ServeStats {
                     0.0
                 } else {
                     frame_hits as f64 / total as f64
-                },
-            },
-            snapshot_cache: CacheStats {
-                hits: snap_hits,
-                misses: snap_misses,
-                hit_rate: if snap_hits + snap_misses == 0 {
-                    0.0
-                } else {
-                    snap_hits as f64 / (snap_hits + snap_misses) as f64
                 },
             },
             sessions: manager.session_stats(),
@@ -203,8 +193,6 @@ pub struct StatszPayload {
     /// The shared frame cache — `hit_rate` is the fraction of frame
     /// requests that shared another request's capture.
     pub frame_cache: CacheStats,
-    /// The snapshot/co-allocation cache.
-    pub snapshot_cache: CacheStats,
     /// Per-session request counts and cursor positions.
     pub sessions: Vec<SessionStats>,
 }
