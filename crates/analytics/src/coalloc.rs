@@ -31,8 +31,7 @@ pub struct MachineLink {
 }
 
 /// The pairwise link expansion of a shared-machine table, ascending by
-/// `(machine, job_a, job_b)` — the one derivation every construction and
-/// patch path shares.
+/// `(machine, job_a, job_b)`.
 fn links_of(shared: &[SharedMachine]) -> Vec<MachineLink> {
     let mut links = Vec::new();
     for s in shared {
@@ -80,9 +79,9 @@ impl CoallocationIndex {
     }
 
     /// The shared grouping path: ascending running triples → machine → job
-    /// sets → shared machines + precomputed pairwise links. Every
-    /// construction route ([`CoallocationIndex::at`],
-    /// [`CoallocationIndex::from_frame`], the delta engine) lands here.
+    /// sets → shared machines + precomputed pairwise links. Both
+    /// construction routes ([`CoallocationIndex::at`] and
+    /// [`CoallocationIndex::from_frame`]) land here.
     pub(crate) fn from_triples(triples: &[(JobId, TaskId, MachineId)]) -> CoallocationIndex {
         let mut by_machine: std::collections::BTreeMap<
             MachineId,
@@ -101,31 +100,6 @@ impl CoallocationIndex {
             .collect();
         let links = links_of(&shared);
         CoallocationIndex { shared, links }
-    }
-
-    /// Replaces, inserts or removes one machine's shared entry (machine
-    /// order preserved) and rebuilds the link expansion — the delta
-    /// engine's patch primitive. Pass the machine's full current job set;
-    /// fewer than two jobs removes the entry. `rebuild_links` must be true
-    /// on the last patch of a batch (links are derived state).
-    pub(crate) fn put_machine(
-        &mut self,
-        machine: MachineId,
-        jobs: Vec<JobId>,
-        rebuild_links: bool,
-    ) {
-        let pos = self.shared.binary_search_by_key(&machine, |s| s.machine);
-        match (pos, jobs.len() >= 2) {
-            (Ok(i), true) => self.shared[i].jobs = jobs,
-            (Ok(i), false) => {
-                self.shared.remove(i);
-            }
-            (Err(i), true) => self.shared.insert(i, SharedMachine { machine, jobs }),
-            (Err(_), false) => {}
-        }
-        if rebuild_links {
-            self.links = links_of(&self.shared);
-        }
     }
 
     /// Machines shared by at least two jobs, in machine order.

@@ -67,7 +67,7 @@ pub struct JobEntry {
     /// The job's tasks that have at least one running instance, task order.
     pub tasks: Vec<TaskEntry>,
     /// Distinct machines under the job, ascending — computed once at
-    /// snapshot build/delta-apply time (see [`JobEntry::machines`]).
+    /// snapshot build time (see [`JobEntry::machines`]).
     machines: Vec<MachineId>,
 }
 
@@ -77,33 +77,6 @@ impl JobEntry {
     /// re-derivation.
     pub fn machines(&self) -> &[MachineId] {
         &self.machines
-    }
-
-    /// An entry with no running work yet — the delta engine's insertion
-    /// point for a job entering the running set.
-    pub(crate) fn empty(job: JobId) -> JobEntry {
-        JobEntry {
-            job,
-            tasks: Vec::new(),
-            machines: Vec::new(),
-        }
-    }
-
-    /// Records `machine` in the precomputed distinct-machine list (sorted
-    /// insert, no-op when present) — the delta engine's counterpart of the
-    /// build-time derivation.
-    pub(crate) fn insert_machine(&mut self, machine: MachineId) {
-        if let Err(i) = self.machines.binary_search(&machine) {
-            self.machines.insert(i, machine);
-        }
-    }
-
-    /// Drops `machine` from the distinct-machine list (no-op when absent).
-    /// The caller asserts no node under this job references it anymore.
-    pub(crate) fn remove_machine(&mut self, machine: MachineId) {
-        if let Ok(i) = self.machines.binary_search(&machine) {
-            self.machines.remove(i);
-        }
     }
 
     /// Mean utilization over all nodes of all tasks.
@@ -174,11 +147,10 @@ impl HierarchySnapshot {
         })
     }
 
-    /// The one materialization path every construction route shares —
-    /// [`HierarchySnapshot::at`], [`HierarchySnapshot::from_frame`] and the
-    /// delta engine ([`crate::scrub::SnapshotScrubber`]) all feed it, which
-    /// is what makes "scrubbed == from-scratch" a structural identity
-    /// rather than a coincidence. `grouped` must yield
+    /// The one materialization path both construction routes share —
+    /// [`HierarchySnapshot::at`] and [`HierarchySnapshot::from_frame`] feed
+    /// it, which is what makes "from a frame == from the source" a
+    /// structural identity rather than a coincidence. `grouped` must yield
     /// `((job, task, machine), instance count)` entries in ascending key
     /// order with positive counts.
     pub(crate) fn from_grouped(
@@ -204,9 +176,7 @@ impl HierarchySnapshot {
 
     /// Builds one job's entry from its ascending `((task, machine), count)`
     /// rows — the per-job unit [`HierarchySnapshot::from_grouped`] chunks
-    /// into and the delta engine's patch path rebuilds per dirty job, so
-    /// both produce identical entries by construction. `None` when the job
-    /// has no rows (it left the running set).
+    /// into. `None` when the job has no rows.
     pub(crate) fn job_entry(
         job: JobId,
         rows: impl IntoIterator<Item = ((TaskId, MachineId), u32)>,

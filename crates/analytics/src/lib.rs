@@ -18,13 +18,6 @@
 //!   metric detectors (threshold, z-score, EWMA, MAD, CUSUM, IQR, voting
 //!   ensemble) plus signature detectors for the paper's two case-study
 //!   behaviours (end-of-job **spike**, **thrashing**).
-//! * [`scrub`] — the **delta snapshot engine**: a [`scrub::SnapshotScrubber`]
-//!   advances the hierarchy snapshot and co-allocation index across
-//!   timestamps by applying interval entry/exit deltas
-//!   ([`batchlens_trace::DatasetQuery::running_delta`]) — O(Δ log k) per
-//!   scrub step instead of a from-scratch rebuild — rebasing on source
-//!   version changes and periodically, bit-identical to the from-scratch
-//!   builders.
 //! * [`rootcause`] — turns detector output plus hierarchy/co-allocation
 //!   context into per-job diagnoses, reproducing the case study's narrative
 //!   conclusions programmatically.
@@ -57,7 +50,6 @@ pub mod compare;
 pub mod detect;
 pub mod hierarchy;
 pub mod rootcause;
-pub mod scrub;
 pub mod sla;
 pub mod temporal;
 
@@ -65,4 +57,3 @@ pub use coalloc::CoallocationIndex;
 pub use detect::{AnomalyKind, AnomalySpan, Detector, DetectorState, PairedDetectorState};
 pub use hierarchy::HierarchySnapshot;
 pub use rootcause::{Diagnosis, RootCauseAnalyzer};
-pub use scrub::{ScrubStats, SnapshotScrubber};

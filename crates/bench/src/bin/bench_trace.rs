@@ -436,63 +436,6 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     });
     entries.push(entry(format!("stream_query_{suffix}"), naive_s, optimized));
 
-    // --- snapshot scrubbing: the delta engine (SnapshotScrubber advancing
-    //     by interval entry/exit deltas, O(Δ log k) per step) vs rebuilding
-    //     HierarchySnapshot + CoallocationIndex from scratch at every
-    //     visited timestamp. Both sides produce bit-identical products (the
-    //     snapshot_delta_differential suite proves it); the checksum keeps
-    //     them honest here. ---
-    use batchlens::analytics::coalloc::CoallocationIndex;
-    use batchlens::analytics::hierarchy::HierarchySnapshot;
-    use batchlens::analytics::scrub::SnapshotScrubber;
-    // Frame-rate scrubbing: a fine forward drag across the whole span with
-    // a two-frame back-and-return wiggle every 8th frame (the interactive
-    // back-and-forth the delta engine exists for).
-    let fine: Vec<Timestamp> = span
-        .steps(TimeDelta::seconds(
-            (span.duration().as_seconds() / 16_384).max(1),
-        ))
-        .collect();
-    let mut walk: Vec<Timestamp> = Vec::with_capacity(fine.len() + fine.len() / 4);
-    for (i, &t) in fine.iter().enumerate() {
-        walk.push(t);
-        if i % 8 == 7 && i >= 2 {
-            walk.push(fine[i - 2]);
-            walk.push(t);
-        }
-    }
-    let scrub_reps = if tier == Tier::Paper { 2 } else { 3 };
-    let optimized = measure(scrub_reps, || {
-        let mut scrub = SnapshotScrubber::new();
-        let mut sum = 0usize;
-        for &t in &walk {
-            scrub.seek(ds, t);
-            sum += scrub.snapshot(ds).total_nodes() + scrub.coalloc().links().len();
-        }
-        sum
-    });
-    let naive_s = measure(2, || {
-        let mut sum = 0usize;
-        for &t in &walk {
-            sum += HierarchySnapshot::at(ds, t).total_nodes()
-                + CoallocationIndex::at(ds, t).links().len();
-        }
-        sum
-    });
-    entries.push(entry(
-        format!("snapshot_scrub_{suffix}"),
-        naive_s,
-        optimized,
-    ));
-    {
-        // Honesty check outside the timed loops: both paths must agree.
-        let mut scrub = SnapshotScrubber::new();
-        for &t in walk.iter().take(64) {
-            scrub.seek(ds, t);
-            assert_eq!(*scrub.snapshot(ds), HierarchySnapshot::at(ds, t));
-        }
-    }
-
     // --- live frame queries: one batched, transactionally consistent
     //     QueryFrame per timestamp (one lock acquisition for hierarchy +
     //     coalloc + utilization + alive probes + the per-machine anomaly
@@ -500,6 +443,8 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     //     products as individual live-view queries — which acquire the
     //     monitor lock per sub-query (and per machine for the utilization,
     //     alive and alert-count probes). ---
+    use batchlens::analytics::coalloc::CoallocationIndex;
+    use batchlens::analytics::hierarchy::HierarchySnapshot;
     for rec in batchlens::analytics::baseline::export_usage_records(ds) {
         monitor.ingest(rec);
     }

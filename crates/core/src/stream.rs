@@ -39,9 +39,9 @@ use batchlens_analytics::detect::{
 };
 use batchlens_trace::wal::{RecoveryReport, WalError, WalReader, WalRecord, WalWriter};
 use batchlens_trace::{
-    BatchInstanceRecord, DatasetQuery, JobId, LivenessDelta, MachineEventRecord, MachineId, Metric,
-    QueryFrame, RollingIntervalIndex, RunningDelta, ServerUsageRecord, TaskId, TimeDelta,
-    TimeRange, TimeSeries, Timestamp, UtilHold, UtilizationTriple,
+    BatchInstanceRecord, DatasetQuery, JobId, MachineEventRecord, MachineId, Metric, QueryFrame,
+    RollingIntervalIndex, ServerUsageRecord, TaskId, TimeDelta, TimeRange, TimeSeries, Timestamp,
+    UtilizationTriple,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -485,8 +485,7 @@ struct Inner {
     /// Bumped on **every** mutation that could change a query answer
     /// (accepted usage, structural ingest, lifecycle events — not on
     /// rejected stragglers or pure counter updates), so `(version,
-    /// timestamp)` keys are sound memoization keys for live snapshots and
-    /// deltas computed across an unchanged version are exact.
+    /// timestamp)` keys are sound memoization keys for live frames.
     version: u64,
     ingested: u64,
     stale_dropped: u64,
@@ -617,70 +616,6 @@ impl DatasetQuery for Inner {
 
     fn state_version(&self) -> u64 {
         self.version
-    }
-
-    fn util_hold(&self, machine: MachineId, t: Timestamp) -> UtilHold {
-        let Some(state) = self.machines.get(&machine) else {
-            return UtilHold {
-                util: None,
-                since: None,
-                until: None,
-            };
-        };
-        let samples = &state.window.samples;
-        let pos = samples.partition_point(|&(st, _)| st <= t);
-        UtilHold {
-            util: (pos > 0).then(|| {
-                let [cpu, mem, disk] = samples[pos - 1].1;
-                UtilizationTriple::clamped(cpu, mem, disk)
-            }),
-            since: (pos > 0).then(|| samples[pos - 1].0),
-            until: (pos < samples.len()).then(|| samples[pos].0),
-        }
-    }
-
-    fn running_delta(&self, t0: Timestamp, t1: Timestamp) -> RunningDelta {
-        let live = &self.live;
-        let mut entered = Vec::new();
-        let mut exited = Vec::new();
-        live.intervals.running_delta_with(
-            t0,
-            t1,
-            |id| entered.push(live.keys[id as usize]),
-            |id| exited.push(live.keys[id as usize]),
-        );
-        // Same-triple instance handoffs inside the hop cancel out, keeping
-        // this equal to the trait-default stab diff.
-        RunningDelta::from_events(entered, exited)
-    }
-
-    fn liveness_delta(&self, t0: Timestamp, t1: Timestamp) -> LivenessDelta {
-        // Only machines with a rolling checkpoint inside the half-open hop
-        // `(min, max]` can flip; everything else (including checkpoint-less
-        // machines, which are always alive) is skipped without resolving
-        // liveness at either end.
-        let (lo, hi) = if t0 <= t1 { (t0, t1) } else { (t1, t0) };
-        let mut activated = Vec::new();
-        let mut deactivated = Vec::new();
-        // BTreeMap iteration ascends, so both sides come out sorted.
-        for (&machine, checkpoints) in &self.live.liveness {
-            let start = checkpoints.partition_point(|&(t, _)| t <= lo);
-            let end = checkpoints.partition_point(|&(t, _)| t <= hi);
-            if start == end {
-                continue;
-            }
-            let was = batchlens_trace::alive_at_checkpoints(checkpoints, t0);
-            let now = batchlens_trace::alive_at_checkpoints(checkpoints, t1);
-            match (was, now) {
-                (false, true) => activated.push(machine),
-                (true, false) => deactivated.push(machine),
-                _ => {}
-            }
-        }
-        LivenessDelta {
-            activated,
-            deactivated,
-        }
     }
 
     fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
@@ -1300,8 +1235,8 @@ impl StreamMonitor {
     /// acceptances — structural instance ingest, lifecycle events), and
     /// **not** on rejected stragglers. An unchanged version guarantees every
     /// live query answers exactly as it did before, which is what lets
-    /// consumers memoize snapshots on `(version, timestamp)` and advance
-    /// delta scrubbers without a rebase while the monitor idles.
+    /// consumers memoize frames on `(version, timestamp)`, as
+    /// [`crate::BatchLens::frame_at`] does.
     pub fn state_version(&self) -> u64 {
         self.inner.lock().version
     }
@@ -1436,28 +1371,8 @@ impl DatasetQuery for LiveWindowView<'_> {
         self.monitor.inner.lock().state_version()
     }
 
-    fn util_hold(&self, machine: MachineId, t: Timestamp) -> UtilHold {
-        self.monitor.inner.lock().util_hold(machine, t)
-    }
-
     fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
         self.monitor.inner.lock().anomaly_counts(machines)
-    }
-
-    /// The rolling-index delta — O(log n + Δ log Δ) under one lock
-    /// acquisition. Only meaningful paired with an unchanged
-    /// [`DatasetQuery::state_version`]: the monitor may ingest between two
-    /// calls, and a delta across a version change mixes states.
-    fn running_delta(&self, t0: Timestamp, t1: Timestamp) -> RunningDelta {
-        self.monitor.inner.lock().running_delta(t0, t1)
-    }
-
-    /// The checkpoint-scan liveness delta — touches only machines with a
-    /// rolling liveness checkpoint inside the hop, under one lock
-    /// acquisition. Same version-pairing caveat as
-    /// [`DatasetQuery::running_delta`].
-    fn liveness_delta(&self, t0: Timestamp, t1: Timestamp) -> LivenessDelta {
-        self.monitor.inner.lock().liveness_delta(t0, t1)
     }
 
     /// The **single-lock transactional frame**: every probe of the frame —
@@ -1995,7 +1910,6 @@ mod tests {
         // Pure reads never bump.
         let view = m.live_view();
         let _ = view.frame(Timestamp::new(50));
-        let _ = view.running_delta(Timestamp::new(0), Timestamp::new(100));
         assert_eq!(view.state_version(), m.state_version());
     }
 
@@ -2049,39 +1963,6 @@ mod tests {
                 assert_eq!(frame.alive(machine), view.alive_at(machine, t));
                 assert_eq!(frame.util_of(machine), view.util_at(machine, t));
             }
-        }
-        // util_hold agrees with util_at across its claimed window.
-        for t in (-50..1000).step_by(37) {
-            let t = Timestamp::new(t);
-            let hold = view.util_hold(MachineId::new(3), t);
-            assert!(hold.holds_at(t));
-            assert_eq!(hold.util, view.util_at(MachineId::new(3), t));
-            for probe in (-50..1000).step_by(53).map(Timestamp::new) {
-                if hold.holds_at(probe) {
-                    assert_eq!(hold.util, view.util_at(MachineId::new(3), probe));
-                }
-            }
-        }
-        // The live running_delta override equals a stab diff.
-        for (a, b) in [(0i64, 500i64), (500, 0), (250, 250), (-100, 5000)] {
-            let (t0, t1) = (Timestamp::new(a), Timestamp::new(b));
-            let delta = view.running_delta(t0, t1);
-            let from = view.running_triples_at(t0);
-            let to = view.running_triples_at(t1);
-            let mut expect_in = to.clone();
-            for x in &from {
-                if let Some(p) = expect_in.iter().position(|y| y == x) {
-                    expect_in.remove(p);
-                }
-            }
-            let mut expect_out = from.clone();
-            for x in &to {
-                if let Some(p) = expect_out.iter().position(|y| y == x) {
-                    expect_out.remove(p);
-                }
-            }
-            assert_eq!(delta.entered, expect_in, "{a} -> {b}");
-            assert_eq!(delta.exited, expect_out, "{a} -> {b}");
         }
     }
 

@@ -47,8 +47,8 @@ pub struct TraceDataset {
     /// O(log n) liveness lookups.
     liveness: BTreeMap<MachineId, Vec<(Timestamp, bool)>>,
     /// machine → combined sample-and-hold utilization samples (one sorted
-    /// time grid + parallel triples), for single-search `util_at` /
-    /// `util_hold` resolution.
+    /// time grid + parallel triples), for single-search `util_at`
+    /// resolution.
     util_index: BTreeMap<MachineId, UtilSamples>,
     /// The union time span, precomputed at build time.
     cached_span: Option<TimeRange>,
@@ -66,14 +66,9 @@ struct UtilSamples {
 }
 
 impl UtilSamples {
-    /// Index of the cell containing `t`: samples `[idx-1]` holds at `t`
-    /// (0 = before the first sample).
-    fn cell(&self, t: Timestamp) -> usize {
-        self.times.partition_point(|&st| st <= t)
-    }
-
+    /// The last sample at or before `t` (`None` before the first sample).
     fn at_or_before(&self, t: Timestamp) -> Option<UtilizationTriple> {
-        let idx = self.cell(t);
+        let idx = self.times.partition_point(|&st| st <= t);
         (idx > 0).then(|| self.triples[idx - 1])
     }
 }
@@ -818,27 +813,6 @@ impl TraceDataset {
     fn instance_by_idx(&self, idx: usize) -> InstanceRef<'_> {
         InstanceRef {
             record: &self.instances[idx],
-        }
-    }
-
-    /// The sample-and-hold utilization hold at `t` — the hot-path kernel
-    /// behind `DatasetQuery::util_hold`: one map lookup, one binary search
-    /// over the combined per-machine sample grid, value and validity window
-    /// read from the same cache lines.
-    pub(crate) fn util_hold_at(&self, machine: MachineId, t: Timestamp) -> crate::UtilHold {
-        let Some(samples) = self.util_index.get(&machine) else {
-            // Unknown or usage-silent machines answer `None` forever.
-            return crate::UtilHold {
-                util: None,
-                since: None,
-                until: None,
-            };
-        };
-        let idx = samples.cell(t);
-        crate::UtilHold {
-            util: (idx > 0).then(|| samples.triples[idx - 1]),
-            since: (idx > 0).then(|| samples.times[idx - 1]),
-            until: (idx < samples.times.len()).then(|| samples.times[idx]),
         }
     }
 }

@@ -54,12 +54,6 @@ pub struct IntervalIndex {
     sorted_starts: Vec<Timestamp>,
     /// Non-empty interval ends, sorted ascending (for counting/sweeps).
     sorted_ends: Vec<Timestamp>,
-    /// Non-empty `(start, end, id)` rows sorted by `(start, id)` — the
-    /// entry side of [`IntervalIndex::running_delta_with`].
-    start_rows: Vec<(Timestamp, Timestamp, u32)>,
-    /// Non-empty `(end, start, id)` rows sorted by `(end, id)` — the exit
-    /// side of [`IntervalIndex::running_delta_with`].
-    end_rows: Vec<(Timestamp, Timestamp, u32)>,
     /// Total intervals indexed (including empty ones).
     len: usize,
 }
@@ -77,17 +71,10 @@ impl IntervalIndex {
         let mut sorted_ends: Vec<Timestamp> = rows.iter().map(|r| r.1).collect();
         sorted_starts.sort_unstable();
         sorted_ends.sort_unstable();
-        let mut start_rows: Vec<(Timestamp, Timestamp, u32)> = rows.clone();
-        start_rows.sort_unstable_by_key(|&(s, _, id)| (s, id));
-        let mut end_rows: Vec<(Timestamp, Timestamp, u32)> =
-            rows.iter().map(|&(s, e, id)| (e, s, id)).collect();
-        end_rows.sort_unstable_by_key(|&(e, _, id)| (e, id));
         let mut index = IntervalIndex {
             nodes: Vec::new(),
             sorted_starts,
             sorted_ends,
-            start_rows,
-            end_rows,
             len,
         };
         if !rows.is_empty() {
@@ -219,63 +206,6 @@ impl IntervalIndex {
         started - ended
     }
 
-    /// Calls `enter` with the id of every interval running at `t1` but not
-    /// at `t0`, and `exit` with every interval running at `t0` but not at
-    /// `t1` — the **structural delta** between two stabs, without computing
-    /// either stab.
-    ///
-    /// Complexity: O(log n + S + E) where S and E are the endpoint events
-    /// (starts/ends) strictly inside the hop — a walk of the two sorted
-    /// endpoint arrays between binary-searched bounds, never a scan of the
-    /// index. Stepping a cursor across the whole span therefore touches
-    /// every endpoint exactly once in total. `t0 > t1` (a backward hop)
-    /// swaps the roles; `t0 == t1` reports nothing. Callback order is
-    /// unspecified.
-    pub fn running_delta_with(
-        &self,
-        t0: Timestamp,
-        t1: Timestamp,
-        mut enter: impl FnMut(u32),
-        mut exit: impl FnMut(u32),
-    ) {
-        let (lo, hi, forward) = if t0 <= t1 {
-            (t0, t1, true)
-        } else {
-            (t1, t0, false)
-        };
-        if lo == hi {
-            return;
-        }
-        // Running at `hi` but not `lo`: started inside `(lo, hi]` and still
-        // running at `hi`. Starts at `lo` itself were already running at
-        // `lo` (or are covered by the exit side).
-        let a = self.start_rows.partition_point(|&(s, _, _)| s <= lo);
-        let b = self.start_rows.partition_point(|&(s, _, _)| s <= hi);
-        for &(_, end, id) in &self.start_rows[a..b] {
-            if end > hi {
-                if forward {
-                    enter(id);
-                } else {
-                    exit(id);
-                }
-            }
-        }
-        // Running at `lo` but not `hi`: ended inside `(lo, hi]` after
-        // starting at or before `lo`. Intervals that both start and end
-        // inside the hop appear on neither side.
-        let a = self.end_rows.partition_point(|&(e, _, _)| e <= lo);
-        let b = self.end_rows.partition_point(|&(e, _, _)| e <= hi);
-        for &(_, start, id) in &self.end_rows[a..b] {
-            if start <= lo {
-                if forward {
-                    exit(id);
-                } else {
-                    enter(id);
-                }
-            }
-        }
-    }
-
     /// Non-empty interval starts, sorted ascending (for event sweeps).
     pub fn sorted_starts(&self) -> &[Timestamp] {
         &self.sorted_starts
@@ -373,11 +303,8 @@ pub struct RollingIntervalIndex {
     level_len: [usize; LEVELS],
     /// id → window, for replacement and eviction.
     closed: BTreeMap<u32, (Timestamp, Timestamp)>,
-    /// `(start, id)` ascending over the closed intervals — the entry side
-    /// of [`RollingIntervalIndex::running_delta_with`].
-    starts: BTreeSet<(Timestamp, u32)>,
-    /// `(end, id)` ascending — the eviction queue and the exit side of
-    /// [`RollingIntervalIndex::running_delta_with`].
+    /// `(end, id)` ascending over the closed intervals — the eviction
+    /// queue.
     ends: BTreeSet<(Timestamp, u32)>,
     /// Open (started, not yet closed) intervals: id → start.
     open: BTreeMap<u32, Timestamp>,
@@ -391,7 +318,6 @@ impl Default for RollingIntervalIndex {
             nodes: BTreeMap::new(),
             level_len: [0; LEVELS],
             closed: BTreeMap::new(),
-            starts: BTreeSet::new(),
             ends: BTreeSet::new(),
             open: BTreeMap::new(),
             open_by_start: BTreeSet::new(),
@@ -435,7 +361,6 @@ impl RollingIntervalIndex {
         node.by_end.insert((end, id));
         self.level_len[key.0 as usize] += 1;
         self.closed.insert(id, (start, end));
-        self.starts.insert((start, id));
         self.ends.insert((end, id));
     }
 
@@ -469,7 +394,6 @@ impl RollingIntervalIndex {
         let Some((start, end)) = self.closed.remove(&id) else {
             return false;
         };
-        self.starts.remove(&(start, id));
         self.ends.remove(&(end, id));
         let key = node_key(start, end);
         if let Some(node) = self.nodes.get_mut(&key) {
@@ -566,70 +490,6 @@ impl RollingIntervalIndex {
         let mut n = 0usize;
         self.stab_with(t, |_| n += 1);
         n
-    }
-
-    /// Calls `enter` with the id of every interval (closed or open) running
-    /// at `t1` but not at `t0`, and `exit` with every one running at `t0`
-    /// but not at `t1` — the dynamic twin of
-    /// [`IntervalIndex::running_delta_with`], with identical semantics
-    /// against the **current** index contents.
-    ///
-    /// Complexity: O(log n + (S + E) log n) for the S starts and E ends
-    /// inside the hop — ordered-set range walks plus one window lookup per
-    /// candidate; never a scan. Open intervals run unbounded, so they can
-    /// only appear on the enter side of a forward hop (or the exit side of
-    /// a backward one). Deltas are only meaningful between two queries of
-    /// the **same** index state: inserts, closes and evictions in between
-    /// invalidate them (callers track state versions for that).
-    pub fn running_delta_with(
-        &self,
-        t0: Timestamp,
-        t1: Timestamp,
-        mut enter: impl FnMut(u32),
-        mut exit: impl FnMut(u32),
-    ) {
-        use std::ops::Bound::{Excluded, Included};
-        let (lo, hi, forward) = if t0 <= t1 {
-            (t0, t1, true)
-        } else {
-            (t1, t0, false)
-        };
-        if lo == hi {
-            return;
-        }
-        let hop = (Excluded((lo, u32::MAX)), Included((hi, u32::MAX)));
-        // Closed intervals that started inside `(lo, hi]` and outlive `hi`.
-        for &(_, id) in self.starts.range(hop) {
-            let (_, end) = self.closed[&id];
-            if end > hi {
-                if forward {
-                    enter(id);
-                } else {
-                    exit(id);
-                }
-            }
-        }
-        // Closed intervals that ended inside `(lo, hi]` after starting at or
-        // before `lo`; both-inside-the-hop intervals appear on neither side.
-        for &(_, id) in self.ends.range(hop) {
-            let (start, _) = self.closed[&id];
-            if start <= lo {
-                if forward {
-                    exit(id);
-                } else {
-                    enter(id);
-                }
-            }
-        }
-        // Open intervals: running from their start forever, so the hop
-        // crosses exactly the ones starting inside `(lo, hi]`.
-        for &(_, id) in self.open_by_start.range(hop) {
-            if forward {
-                enter(id);
-            } else {
-                exit(id);
-            }
-        }
     }
 }
 
@@ -855,96 +715,6 @@ mod tests {
         idx.insert(ts(3), ts(3), 7);
         assert!(idx.is_empty());
         assert!(!idx.remove(7));
-    }
-
-    /// Scan-derived reference delta: running at t1 minus running at t0 and
-    /// vice versa, as sorted id sets.
-    fn scan_delta(rows: &[(i64, i64)], t0: i64, t1: i64) -> (Vec<u32>, Vec<u32>) {
-        let at0: BTreeSet<u32> = scan(rows, t0).into_iter().collect();
-        let at1: BTreeSet<u32> = scan(rows, t1).into_iter().collect();
-        (
-            at1.difference(&at0).copied().collect(),
-            at0.difference(&at1).copied().collect(),
-        )
-    }
-
-    #[test]
-    fn running_delta_matches_scan_on_both_indexes() {
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let rows: Vec<(i64, i64)> = (0..300)
-            .map(|_| {
-                let s = (next() % 2500) as i64 - 300;
-                let dur = match next() % 10 {
-                    0 => 0,                     // empty: never in any delta
-                    1 => 1,                     // unit
-                    2 => 6000,                  // straggler
-                    _ => (next() % 200) as i64, // typical
-                };
-                (s, s + dur)
-            })
-            .collect();
-        let fixed = build(&rows);
-        let dynamic = rolling(&rows);
-        let probes: Vec<i64> = (-400..2900).step_by(97).collect();
-        for win in probes.windows(2) {
-            for (t0, t1) in [(win[0], win[1]), (win[1], win[0]), (win[0], win[0])] {
-                let (want_in, want_out) = scan_delta(&rows, t0, t1);
-                // Static index.
-                let (mut got_in, mut got_out) = (Vec::new(), Vec::new());
-                fixed.running_delta_with(
-                    ts(t0),
-                    ts(t1),
-                    |id| got_in.push(id),
-                    |id| got_out.push(id),
-                );
-                got_in.sort_unstable();
-                got_out.sort_unstable();
-                assert_eq!(got_in, want_in, "static enter {t0}->{t1}");
-                assert_eq!(got_out, want_out, "static exit {t0}->{t1}");
-                // Rolling index.
-                let (mut got_in, mut got_out) = (Vec::new(), Vec::new());
-                dynamic.running_delta_with(
-                    ts(t0),
-                    ts(t1),
-                    |id| got_in.push(id),
-                    |id| got_out.push(id),
-                );
-                got_in.sort_unstable();
-                got_out.sort_unstable();
-                assert_eq!(got_in, want_in, "rolling enter {t0}->{t1}");
-                assert_eq!(got_out, want_out, "rolling exit {t0}->{t1}");
-            }
-        }
-    }
-
-    #[test]
-    fn running_delta_covers_open_intervals() {
-        let mut idx = RollingIntervalIndex::new();
-        idx.insert(ts(0), ts(100), 0);
-        idx.open(ts(50), 1);
-        let delta = |idx: &RollingIntervalIndex, t0: i64, t1: i64| {
-            let (mut i, mut o) = (Vec::new(), Vec::new());
-            idx.running_delta_with(ts(t0), ts(t1), |id| i.push(id), |id| o.push(id));
-            i.sort_unstable();
-            o.sort_unstable();
-            (i, o)
-        };
-        // Forward across the open start: it enters and never exits.
-        assert_eq!(delta(&idx, 40, 60), (vec![1], vec![]));
-        assert_eq!(delta(&idx, 60, 1_000_000), (vec![], vec![0]));
-        // Backward across it: it exits.
-        assert_eq!(delta(&idx, 60, 40), (vec![], vec![1]));
-        // Closing it turns the far hop into a normal exit.
-        idx.close(1, ts(80));
-        assert_eq!(delta(&idx, 60, 90), (vec![], vec![1]));
-        // An interval both entering and leaving inside the hop is invisible.
-        assert_eq!(delta(&idx, -10, 1_000_000), (vec![], vec![]));
     }
 
     #[test]

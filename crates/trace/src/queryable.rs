@@ -8,6 +8,10 @@
 //! against either source. The `stream_batch_differential` workspace suite
 //! enforces that equality on random record streams.
 //!
+//! [`DatasetQuery::frame`] captures every answer at one instant as one
+//! [`QueryFrame`]; the hierarchy snapshot and co-allocation index that a
+//! served frame shows are built from it.
+//!
 //! Implementations:
 //!
 //! * [`crate::TraceDataset`] (here) — served by the build-time interval /
@@ -16,7 +20,9 @@
 //!   monitor's [`crate::RollingIntervalIndex`] and rolling liveness
 //!   checkpoints over the live window, same bounds, no window re-scan.
 
-use crate::{JobId, MachineId, Metric, TimeRange, TimeSeries, Timestamp, UtilizationTriple};
+use crate::{
+    JobId, MachineId, Metric, TaskId, TimeRange, TimeSeries, Timestamp, UtilizationTriple,
+};
 
 /// Resolves machine liveness from time-sorted `(checkpoint time, alive
 /// afterwards)` pairs: the last checkpoint at or before `t` decides, and a
@@ -29,130 +35,6 @@ pub fn alive_at_checkpoints(checkpoints: &[(Timestamp, bool)], t: Timestamp) -> 
     match checkpoints.partition_point(|&(time, _)| time <= t) {
         0 => true,
         n => checkpoints[n - 1].1,
-    }
-}
-
-/// The multiset of running-instance triples that changed between two
-/// timestamps: the currency of the delta snapshot engine
-/// (`batchlens_analytics::scrub::SnapshotScrubber`).
-///
-/// `entered` holds one `(job, task, machine)` triple per instance running
-/// at `t1` but not at `t0`; `exited` the reverse. Both ascend, and repeated
-/// triples appear once **per instance** — applying a delta to a counted
-/// multiset of running triples at `t0` reproduces the multiset at `t1`
-/// exactly.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RunningDelta {
-    /// Triples running at `t1` but not at `t0`, ascending.
-    pub entered: Vec<(JobId, TaskId, MachineId)>,
-    /// Triples running at `t0` but not at `t1`, ascending.
-    pub exited: Vec<(JobId, TaskId, MachineId)>,
-}
-
-impl RunningDelta {
-    /// Builds a delta from raw per-instance endpoint events, canceling
-    /// matched enter/exit pairs: when one instance of a triple ends inside
-    /// the hop while another instance of the *same* triple starts inside it
-    /// and outlives it, the endpoint walk sees both events but the running
-    /// multiset is unchanged — the triple belongs on neither side. Sorting
-    /// plus one merge pass keeps the indexed implementations equal to the
-    /// stab-diff definition on such handoffs.
-    pub fn from_events(
-        mut entered: Vec<(JobId, TaskId, MachineId)>,
-        mut exited: Vec<(JobId, TaskId, MachineId)>,
-    ) -> RunningDelta {
-        entered.sort_unstable();
-        exited.sort_unstable();
-        let (mut i, mut j) = (0usize, 0usize);
-        let (mut keep_in, mut keep_out) = (Vec::new(), Vec::new());
-        while i < entered.len() && j < exited.len() {
-            match entered[i].cmp(&exited[j]) {
-                std::cmp::Ordering::Less => {
-                    keep_in.push(entered[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    keep_out.push(exited[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        keep_in.extend_from_slice(&entered[i..]);
-        keep_out.extend_from_slice(&exited[j..]);
-        RunningDelta {
-            entered: keep_in,
-            exited: keep_out,
-        }
-    }
-
-    /// True when nothing entered or exited.
-    pub fn is_empty(&self) -> bool {
-        self.entered.is_empty() && self.exited.is_empty()
-    }
-
-    /// Total structural changes (|entered| + |exited|) — the Δ a delta step
-    /// pays for.
-    pub fn change_count(&self) -> usize {
-        self.entered.len() + self.exited.len()
-    }
-}
-
-/// The machines whose liveness changed between two timestamps: the
-/// liveness counterpart of [`RunningDelta`], letting a scrubbing consumer
-/// maintain [`DatasetQuery::machines_active_at`] by patching instead of
-/// recomputing the full active set at every instant.
-///
-/// `activated` holds the machines alive at `t1` but not at `t0`,
-/// `deactivated` the reverse; both ascend. Applying the delta to the
-/// sorted active set at `t0` reproduces the active set at `t1` exactly —
-/// provided the source state (and so its known-machine set) is unchanged
-/// between the two reads, which [`DatasetQuery::state_version`] guards.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LivenessDelta {
-    /// Machines alive at `t1` but not at `t0`, ascending.
-    pub activated: Vec<MachineId>,
-    /// Machines alive at `t0` but not at `t1`, ascending.
-    pub deactivated: Vec<MachineId>,
-}
-
-impl LivenessDelta {
-    /// True when no machine's liveness changed.
-    pub fn is_empty(&self) -> bool {
-        self.activated.is_empty() && self.deactivated.is_empty()
-    }
-}
-
-/// A machine's sample-and-hold utilization at a timestamp **plus the
-/// half-open validity window** over which that exact value holds:
-/// `util_at(t') == util` for every `t'` with
-/// `since <= t' < until` (`None` bounds are unbounded).
-///
-/// Lets a scrubbing consumer skip re-resolving utilization until the
-/// timestamp crosses a sample boundary. The conservative trait default
-/// claims validity only over `[t, t+1)` (always true on the whole-second
-/// [`Timestamp`] grid); the indexed implementations widen it to the real
-/// inter-sample window. Validity is relative to the source state it was
-/// read from — a mutating live source invalidates holds via its
-/// [`DatasetQuery::state_version`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilHold {
-    /// The sample-and-hold triple at the queried timestamp (`None` before
-    /// the first known sample), exactly [`DatasetQuery::util_at`]'s answer.
-    pub util: Option<UtilizationTriple>,
-    /// First timestamp of the validity window (`None` = unbounded below).
-    pub since: Option<Timestamp>,
-    /// First timestamp past the validity window (`None` = unbounded above).
-    pub until: Option<Timestamp>,
-}
-
-impl UtilHold {
-    /// Whether the held value is still the sample-and-hold answer at `t`.
-    pub fn holds_at(&self, t: Timestamp) -> bool {
-        self.since.is_none_or(|s| t >= s) && self.until.is_none_or(|u| t < u)
     }
 }
 
@@ -376,101 +258,9 @@ pub trait DatasetQuery {
     /// Immutable sources (a built [`crate::TraceDataset`]) return a
     /// constant `0`; mutable sources bump it on **every** state change that
     /// could alter a query answer, so `(state_version, timestamp)` is a
-    /// sound memoization key and deltas across a version change are known
-    /// stale.
+    /// sound memoization key for frames captured at `timestamp`.
     fn state_version(&self) -> u64 {
         0
-    }
-
-    /// The structural delta between two snapshot instants: the triples
-    /// entering and exiting the running set from `t0` to `t1` (both sides
-    /// ascending, one entry per instance; `t0 > t1` swaps the roles).
-    ///
-    /// The default diffs two full [`DatasetQuery::running_triples_at`]
-    /// stabs — O(k) in the larger running set. Indexed implementations
-    /// override it with an endpoint-array walk that is **O(log n + Δ log Δ)
-    /// in the changes alone**: [`crate::TraceDataset`] via the static
-    /// interval index's sorted start/end rows, the live window via the
-    /// rolling index's ordered endpoint sets. Scrubbing a cursor across the
-    /// whole span therefore costs each endpoint once in total, not once per
-    /// visited timestamp.
-    fn running_delta(&self, t0: Timestamp, t1: Timestamp) -> RunningDelta {
-        let from = self.running_triples_at(t0);
-        let to = self.running_triples_at(t1);
-        let mut entered = Vec::new();
-        let mut exited = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < from.len() && j < to.len() {
-            match from[i].cmp(&to[j]) {
-                std::cmp::Ordering::Less => {
-                    exited.push(from[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    entered.push(to[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        exited.extend_from_slice(&from[i..]);
-        entered.extend_from_slice(&to[j..]);
-        RunningDelta { entered, exited }
-    }
-
-    /// The liveness delta between two snapshot instants: the machines
-    /// activating and deactivating from `t0` to `t1` (both sides ascending;
-    /// `t0 > t1` swaps the roles) — see [`LivenessDelta`].
-    ///
-    /// The default diffs two full [`DatasetQuery::machines_active_at`]
-    /// walks — O(M log e) in the machine count. Indexed implementations
-    /// override it to touch only the machines with a liveness checkpoint
-    /// inside the hop, so scrubbing across quiet stretches costs nothing.
-    fn liveness_delta(&self, t0: Timestamp, t1: Timestamp) -> LivenessDelta {
-        let from = self.machines_active_at(t0);
-        let to = self.machines_active_at(t1);
-        let mut activated = Vec::new();
-        let mut deactivated = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < from.len() && j < to.len() {
-            match from[i].cmp(&to[j]) {
-                std::cmp::Ordering::Less => {
-                    deactivated.push(from[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    activated.push(to[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        deactivated.extend_from_slice(&from[i..]);
-        activated.extend_from_slice(&to[j..]);
-        LivenessDelta {
-            activated,
-            deactivated,
-        }
-    }
-
-    /// [`DatasetQuery::util_at`] plus the validity window over which the
-    /// returned value keeps being the sample-and-hold answer (see
-    /// [`UtilHold`]). The default claims the minimal `[t, t+1)` window —
-    /// always correct on the whole-second grid; indexed implementations
-    /// widen it to the true inter-sample window so scrubbers can skip
-    /// re-resolution entirely between samples.
-    fn util_hold(&self, machine: MachineId, t: Timestamp) -> UtilHold {
-        UtilHold {
-            util: self.util_at(machine, t),
-            since: Some(t),
-            until: Some(Timestamp::new(t.seconds().saturating_add(1))),
-        }
     }
 
     /// Retained anomaly alerts per machine, parallel to `machines`. The
@@ -508,8 +298,6 @@ pub trait DatasetQuery {
         )
     }
 }
-
-use crate::TaskId;
 
 impl DatasetQuery for crate::TraceDataset {
     fn machine_ids(&self) -> Vec<MachineId> {
@@ -553,67 +341,6 @@ impl DatasetQuery for crate::TraceDataset {
         window: &TimeRange,
     ) -> Option<TimeSeries> {
         Some(self.machine(machine)?.usage(metric)?.slice(window))
-    }
-
-    fn running_delta(&self, t0: Timestamp, t1: Timestamp) -> RunningDelta {
-        // The static interval index walks its sorted endpoint rows between
-        // binary-searched bounds: O(log n + Δ log Δ), never a stab.
-        let records = self.instance_records();
-        let mut entered = Vec::new();
-        let mut exited = Vec::new();
-        self.instance_index().running_delta_with(
-            t0,
-            t1,
-            |id| {
-                let r = &records[id as usize];
-                entered.push((r.job, r.task, r.machine));
-            },
-            |id| {
-                let r = &records[id as usize];
-                exited.push((r.job, r.task, r.machine));
-            },
-        );
-        // Same-triple instance handoffs inside the hop cancel out.
-        RunningDelta::from_events(entered, exited)
-    }
-
-    fn util_hold(&self, machine: MachineId, t: Timestamp) -> UtilHold {
-        // The scrubber calls this once per machine per sample transition —
-        // it is the delta engine's per-step floor — so it resolves through
-        // the dataset's combined utilization samples: one lookup, one
-        // search, value and validity window off the same grid (the three
-        // metric series are built from the same usage rows).
-        self.util_hold_at(machine, t)
-    }
-
-    fn liveness_delta(&self, t0: Timestamp, t1: Timestamp) -> LivenessDelta {
-        // Liveness at `t` is decided by the last checkpoint at or before
-        // `t`, so only machines with an event inside the half-open hop
-        // `(min, max]` can flip — found by binary search on the time-sorted
-        // event table, then re-resolved per touched machine. O(log E + Δ)
-        // scan instead of the default's full active-set diff.
-        let (lo, hi) = if t0 <= t1 { (t0, t1) } else { (t1, t0) };
-        let events = self.machine_events();
-        let start = events.partition_point(|e| e.time <= lo);
-        let end = events.partition_point(|e| e.time <= hi);
-        let mut touched: Vec<MachineId> = events[start..end].iter().map(|e| e.machine).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let mut activated = Vec::new();
-        let mut deactivated = Vec::new();
-        for m in touched {
-            let was = DatasetQuery::alive_at(self, m, t0);
-            let now = DatasetQuery::alive_at(self, m, t1);
-            match (was, now) {
-                (false, true) => activated.push(m),
-                (true, false) => deactivated.push(m),
-                _ => {}
-            }
-        }
-        LivenessDelta {
-            activated,
-            deactivated,
-        }
     }
 }
 
@@ -727,197 +454,6 @@ mod tests {
             vec![MachineId::new(3), MachineId::new(5)],
             "machine 7 removed at 700"
         );
-    }
-
-    /// The trait-default (full-stab diff) delta, as the reference model.
-    fn naive_delta<Q: DatasetQuery>(src: &Q, t0: Timestamp, t1: Timestamp) -> RunningDelta {
-        struct Probe<'a, Q: DatasetQuery>(&'a Q);
-        impl<Q: DatasetQuery> DatasetQuery for Probe<'_, Q> {
-            fn machine_ids(&self) -> Vec<MachineId> {
-                self.0.machine_ids()
-            }
-            fn jobs_running_at(&self, t: Timestamp) -> Vec<JobId> {
-                self.0.jobs_running_at(t)
-            }
-            fn running_triples_at(&self, t: Timestamp) -> Vec<(JobId, TaskId, MachineId)> {
-                self.0.running_triples_at(t)
-            }
-            fn running_instance_count_at(&self, t: Timestamp) -> usize {
-                self.0.running_instance_count_at(t)
-            }
-            fn alive_at(&self, machine: MachineId, t: Timestamp) -> bool {
-                self.0.alive_at(machine, t)
-            }
-            fn util_at(&self, machine: MachineId, t: Timestamp) -> Option<UtilizationTriple> {
-                self.0.util_at(machine, t)
-            }
-            fn series_window(
-                &self,
-                machine: MachineId,
-                metric: Metric,
-                window: &TimeRange,
-            ) -> Option<TimeSeries> {
-                self.0.series_window(machine, metric, window)
-            }
-            // No overrides: running_delta is the provided stab-diff default.
-        }
-        Probe(src).running_delta(t0, t1)
-    }
-
-    #[test]
-    fn indexed_running_delta_matches_stab_diff() {
-        let ds = dataset();
-        let probes: Vec<i64> = (-50..1400).step_by(83).chain([0, 500, 600, 900]).collect();
-        for &a in &probes {
-            for &b in &probes {
-                let (t0, t1) = (Timestamp::new(a), Timestamp::new(b));
-                let want = naive_delta(&ds, t0, t1);
-                let got = ds.running_delta(t0, t1);
-                assert_eq!(got, want, "delta {a} -> {b}");
-                if a == b {
-                    assert!(got.is_empty());
-                }
-                // Reversing the hop swaps the sides.
-                let rev = ds.running_delta(t1, t0);
-                assert_eq!(rev.entered, got.exited);
-                assert_eq!(rev.exited, got.entered);
-                assert_eq!(got.change_count(), got.entered.len() + got.exited.len());
-            }
-        }
-    }
-
-    #[test]
-    fn same_triple_handoffs_cancel_in_the_indexed_delta() {
-        // Two instances of one (job, task, machine) triple hand off inside
-        // the hop: seq 0 ends at 100, seq 1 starts at 50 and outlives the
-        // hop. The endpoint walk sees one exit and one enter, but the
-        // running multiset is unchanged — the indexed override must cancel
-        // the pair exactly like the stab-diff default does.
-        let mut b = TraceDatasetBuilder::new();
-        b.push_task(BatchTaskRecord {
-            create_time: Timestamp::new(0),
-            modify_time: Timestamp::new(1000),
-            job: JobId::new(1),
-            task: TaskId::new(1),
-            instance_count: 2,
-            status: TaskStatus::Terminated,
-            plan_cpu: 1.0,
-            plan_mem: 0.5,
-        });
-        for (seq, s, e) in [(0u32, 0i64, 100i64), (1, 50, 150)] {
-            b.push_instance(BatchInstanceRecord {
-                start_time: Timestamp::new(s),
-                end_time: Timestamp::new(e),
-                job: JobId::new(1),
-                task: TaskId::new(1),
-                seq,
-                total: 2,
-                machine: MachineId::new(3),
-                status: TaskStatus::Terminated,
-                cpu_avg: 0.2,
-                cpu_max: 0.4,
-                mem_avg: 0.2,
-                mem_max: 0.4,
-            });
-        }
-        let ds = b.build().unwrap();
-        let delta = ds.running_delta(Timestamp::new(25), Timestamp::new(125));
-        assert!(delta.is_empty(), "handoff must cancel: {delta:?}");
-        assert_eq!(
-            delta,
-            naive_delta(&ds, Timestamp::new(25), Timestamp::new(125))
-        );
-        // A hop that only crosses the overlap start still reports the
-        // second instance entering (count 1 → 2).
-        let grow = ds.running_delta(Timestamp::new(25), Timestamp::new(75));
-        assert_eq!(
-            grow.entered,
-            vec![(JobId::new(1), TaskId::new(1), MachineId::new(3))]
-        );
-        assert!(grow.exited.is_empty());
-    }
-
-    #[test]
-    fn indexed_liveness_delta_matches_active_set_diff() {
-        // Add a second lifecycle flip so hops cross 0, 1 or 2 checkpoints.
-        let mut b = TraceDatasetBuilder::new();
-        b.push_usage(ServerUsageRecord {
-            time: Timestamp::new(0),
-            machine: MachineId::new(3),
-            util: UtilizationTriple::clamped(0.4, 0.3, 0.2),
-        });
-        for (t, m, ev) in [
-            (700i64, 7u32, MachineEvent::Remove),
-            (900, 7, MachineEvent::Add),
-            (400, 3, MachineEvent::SoftError),
-            (500, 3, MachineEvent::Remove),
-        ] {
-            b.push_machine_event(MachineEventRecord {
-                time: Timestamp::new(t),
-                machine: MachineId::new(m),
-                event: ev,
-                capacity_cpu: 0.0,
-                capacity_mem: 0.0,
-                capacity_disk: 0.0,
-            });
-        }
-        let ds = b.build().unwrap();
-        let diff = |t0: Timestamp, t1: Timestamp| {
-            let from = ds.machines_active_at(t0);
-            let to = ds.machines_active_at(t1);
-            LivenessDelta {
-                activated: to.iter().filter(|m| !from.contains(m)).copied().collect(),
-                deactivated: from.iter().filter(|m| !to.contains(m)).copied().collect(),
-            }
-        };
-        let probes: Vec<i64> = (-100..1200)
-            .step_by(67)
-            .chain([400, 500, 700, 900])
-            .collect();
-        for &a in &probes {
-            for &b in &probes {
-                let (t0, t1) = (Timestamp::new(a), Timestamp::new(b));
-                let got = ds.liveness_delta(t0, t1);
-                assert_eq!(got, diff(t0, t1), "liveness delta {a} -> {b}");
-                if a == b {
-                    assert!(got.is_empty());
-                }
-                // Reversing the hop swaps the sides.
-                let rev = ds.liveness_delta(t1, t0);
-                assert_eq!(rev.activated, got.deactivated);
-                assert_eq!(rev.deactivated, got.activated);
-            }
-        }
-    }
-
-    #[test]
-    fn util_hold_brackets_every_probe() {
-        let ds = dataset();
-        for m in [3u32, 5, 7, 99] {
-            let m = MachineId::new(m);
-            for t in (-100..1500).step_by(41) {
-                let t = Timestamp::new(t);
-                let hold = ds.util_hold(m, t);
-                assert_eq!(hold.util, DatasetQuery::util_at(&ds, m, t), "{m} at {t}");
-                assert!(hold.holds_at(t), "{m} window must contain {t}");
-                // Every instant the hold claims must answer identically.
-                for probe in (-100..1500).step_by(29).map(Timestamp::new) {
-                    if hold.holds_at(probe) {
-                        assert_eq!(
-                            DatasetQuery::util_at(&ds, m, probe),
-                            hold.util,
-                            "{m}: hold [{:?}, {:?}) lied at {probe}",
-                            hold.since,
-                            hold.until
-                        );
-                    }
-                }
-            }
-        }
-        // Machine 3 samples every 300 s: holds are full sample cells.
-        let hold = ds.util_hold(MachineId::new(3), Timestamp::new(450));
-        assert_eq!(hold.since, Some(Timestamp::new(300)));
-        assert_eq!(hold.until, Some(Timestamp::new(600)));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! its on-disk segment dump must be **bit-identical** to the in-RAM build —
 //! on the dataset itself (`PartialEq` covers every table, series and
 //! index), on the full [`DatasetQuery`] surface including `frame()`, and
-//! under delta-scrubber walks — across random record soups and segment
-//! sizes small enough to split every family across many segments.
+//! on the hierarchy snapshots and co-allocation indexes built from it —
+//! across random record soups and segment sizes small enough to split
+//! every family across many segments.
 //!
 //! A second suite reuses the PR 6 corruption-at-every-offset pattern at the
 //! segment layer: flipping a single bit anywhere in any segment file makes
@@ -23,7 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use batchlens::analytics::coalloc::CoallocationIndex;
 use batchlens::analytics::hierarchy::HierarchySnapshot;
-use batchlens::analytics::scrub::SnapshotScrubber;
 use batchlens::durability;
 use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::store::{self, StoreConfig};
@@ -212,13 +212,6 @@ fn assert_query_surface_identical(
                 m,
                 t
             );
-            prop_assert_eq!(
-                reopened.util_hold(m, t),
-                reference.util_hold(m, t),
-                "util_hold({}, {})",
-                m,
-                t
-            );
         }
     }
     Ok(())
@@ -230,8 +223,8 @@ proptest! {
     /// The tentpole property: dump → reopen is the identity, down to the
     /// bit, at segment sizes from "everything splits" to "one segment per
     /// family", at every construction concurrency, mapped and buffered
-    /// alike — and the reopened dataset walks the delta scrubber exactly
-    /// like the original.
+    /// alike — and the reopened dataset builds the same hierarchy snapshots
+    /// and co-allocation indexes as the original.
     #[test]
     fn segment_roundtrip_is_bit_identical(
         instances in prop::collection::vec(instance_strategy(), 1..48),
@@ -257,30 +250,19 @@ proptest! {
         let buffered = TraceDataset::open_buffered(&dir).expect("open buffered");
         prop_assert_eq!(&buffered, &ds, "buffered open diverged");
 
-        // Scrubber walk: the delta engine sees identical snapshots and
-        // co-allocation indexes on both datasets at every hop.
-        let mut scrub_new = SnapshotScrubber::new();
-        let mut scrub_ref = SnapshotScrubber::new();
+        // The bubble chart's products: identical snapshots and
+        // co-allocation indexes on both datasets at every sampled instant.
         for t in sample_times() {
-            scrub_new.seek(&reopened, t);
-            scrub_ref.seek(&ds, t);
             prop_assert_eq!(
-                scrub_new.snapshot(&reopened),
-                scrub_ref.snapshot(&ds),
-                "scrubbed snapshot diverged at {}",
-                t
-            );
-            prop_assert_eq!(scrub_new.coalloc(), scrub_ref.coalloc(), "coalloc at {}", t);
-            prop_assert_eq!(
-                scrub_new.snapshot(&reopened),
-                &HierarchySnapshot::at(&ds, t),
-                "scrubbed vs from-scratch at {}",
+                HierarchySnapshot::at(&reopened, t),
+                HierarchySnapshot::at(&ds, t),
+                "snapshot diverged at {}",
                 t
             );
             prop_assert_eq!(
-                scrub_new.coalloc(),
-                &CoallocationIndex::at(&ds, t),
-                "coalloc vs from-scratch at {}",
+                CoallocationIndex::at(&reopened, t),
+                CoallocationIndex::at(&ds, t),
+                "coalloc diverged at {}",
                 t
             );
         }

@@ -13,6 +13,8 @@
 
 use std::collections::BTreeSet;
 
+use batchlens::analytics::coalloc::CoallocationIndex;
+use batchlens::analytics::hierarchy::HierarchySnapshot;
 use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::{
     BatchInstanceRecord, BatchTaskRecord, DatasetQuery, JobId, MachineEvent, MachineEventRecord,
@@ -334,11 +336,11 @@ proptest! {
 
     /// The generic analytics consumers — hierarchy snapshot and
     /// co-allocation index — produce structurally equal results from either
-    /// source (they only see the DatasetQuery surface).
+    /// source (they only see the DatasetQuery surface). On each source, the
+    /// products built from one captured `QueryFrame` equal the individually
+    /// queried ones while the source holds still.
     #[test]
     fn snapshots_and_coalloc_equal_from_either_source(soup in soup_strategy()) {
-        use batchlens::analytics::coalloc::CoallocationIndex;
-        use batchlens::analytics::hierarchy::HierarchySnapshot;
         let cfg = StreamConfig {
             horizon: TimeDelta::hours(100),
             ooo_tolerance: TimeDelta::seconds(TOLERANCE_S),
@@ -359,8 +361,38 @@ proptest! {
                 "coallocation at {}",
                 t
             );
+            assert_frame_products_equal_queries(&live, t)?;
+            assert_frame_products_equal_queries(&ds, t)?;
         }
     }
+}
+
+/// Asserts that the products built from one frame of `src` captured at `t`
+/// equal the ones queried from `src` directly.
+fn assert_frame_products_equal_queries<Q: DatasetQuery>(
+    src: &Q,
+    t: Timestamp,
+) -> Result<(), TestCaseError> {
+    let frame = src.frame(t);
+    prop_assert_eq!(
+        HierarchySnapshot::from_frame(&frame),
+        HierarchySnapshot::at(src, t),
+        "hierarchy snapshot from the frame at {}",
+        t
+    );
+    prop_assert_eq!(
+        CoallocationIndex::from_frame(&frame),
+        CoallocationIndex::at(src, t),
+        "coallocation from the frame at {}",
+        t
+    );
+    prop_assert_eq!(
+        frame.machines_active(),
+        src.machines_active_at(t),
+        "machines active in the frame at {}",
+        t
+    );
+    Ok(())
 }
 
 /// Beyond-tolerance stragglers are rejected by the monitor and must *not*
