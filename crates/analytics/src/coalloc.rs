@@ -30,24 +30,6 @@ pub struct MachineLink {
     pub job_b: JobId,
 }
 
-/// The pairwise link expansion of a shared-machine table, ascending by
-/// `(machine, job_a, job_b)`.
-fn links_of(shared: &[SharedMachine]) -> Vec<MachineLink> {
-    let mut links = Vec::new();
-    for s in shared {
-        for (i, &a) in s.jobs.iter().enumerate() {
-            for &b in &s.jobs[i + 1..] {
-                links.push(MachineLink {
-                    machine: s.machine,
-                    job_a: a,
-                    job_b: b,
-                });
-            }
-        }
-    }
-    links
-}
-
 /// Co-allocation index at one timestamp.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CoallocationIndex {
@@ -82,7 +64,7 @@ impl CoallocationIndex {
     /// sets → shared machines + precomputed pairwise links. Both
     /// construction routes ([`CoallocationIndex::at`] and
     /// [`CoallocationIndex::from_frame`]) land here.
-    pub(crate) fn from_triples(triples: &[(JobId, TaskId, MachineId)]) -> CoallocationIndex {
+    fn from_triples(triples: &[(JobId, TaskId, MachineId)]) -> CoallocationIndex {
         let mut by_machine: std::collections::BTreeMap<
             MachineId,
             std::collections::BTreeSet<JobId>,
@@ -98,7 +80,20 @@ impl CoallocationIndex {
                 jobs: jobs.into_iter().collect(),
             })
             .collect();
-        let links = links_of(&shared);
+        // Pairwise links, ascending by (machine, job_a, job_b): machines
+        // and each machine's jobs already ascend.
+        let mut links = Vec::new();
+        for s in &shared {
+            for (i, &a) in s.jobs.iter().enumerate() {
+                for &b in &s.jobs[i + 1..] {
+                    links.push(MachineLink {
+                        machine: s.machine,
+                        job_a: a,
+                        job_b: b,
+                    });
+                }
+            }
+        }
         CoallocationIndex { shared, links }
     }
 

@@ -10,9 +10,8 @@ use batchlens_trace::{DatasetQuery, JobId, MachineId, TaskId, Timestamp, Utiliza
 use serde::{Deserialize, Serialize};
 
 /// Run-length encodes an **ascending** triple slice into
-/// `((job, task, machine), count)` pairs — the grouped form the shared
-/// materialization paths consume, without a map allocation.
-pub(crate) fn count_runs(
+/// `((job, task, machine), count)` pairs, without a map allocation.
+fn count_runs(
     triples: &[(JobId, TaskId, MachineId)],
 ) -> impl Iterator<Item = ((JobId, TaskId, MachineId), u32)> + '_ {
     let mut i = 0usize;
@@ -116,20 +115,14 @@ impl HierarchySnapshot {
     /// [`batchlens_trace::TraceDataset`] or a live monitor window — the two
     /// sources answer the underlying queries bit-identically.
     pub fn at<Q: DatasetQuery + ?Sized>(src: &Q, at: Timestamp) -> HierarchySnapshot {
-        // One interval-index stab gives every running instance; grouping by
-        // (job, task, machine) in a BTreeMap reproduces the job → task →
-        // machine ordering of the per-job walk it replaces, in
-        // O(k log k) for k running instances instead of a scan of every
-        // instance of every running job.
-        let mut grouped: std::collections::BTreeMap<(JobId, TaskId, MachineId), u32> =
-            std::collections::BTreeMap::new();
-        for (job, task, machine) in src.running_triples_at(at) {
-            *grouped.entry((job, task, machine)).or_default() += 1;
-        }
+        // One interval-index stab gives every running instance, ascending
+        // by (job, task, machine), so counting runs groups them in the
+        // job → task → machine order of the bubble chart.
+        let triples = src.running_triples_at(at);
         // Machines repeat across tasks/jobs; look their utilization up once.
         let mut util_cache: std::collections::BTreeMap<MachineId, Option<UtilizationTriple>> =
             std::collections::BTreeMap::new();
-        Self::from_grouped(at, grouped.iter().map(|(&k, &n)| (k, n)), |machine| {
+        Self::from_triples(at, &triples, |machine| {
             *util_cache
                 .entry(machine)
                 .or_insert_with(|| src.util_at(machine, at))
@@ -142,7 +135,7 @@ impl HierarchySnapshot {
     /// other product derived from the same frame. Bit-identical to
     /// [`HierarchySnapshot::at`] over the state the frame captured.
     pub fn from_frame(frame: &batchlens_trace::QueryFrame) -> HierarchySnapshot {
-        Self::from_grouped(frame.at(), count_runs(frame.running_triples()), |machine| {
+        Self::from_triples(frame.at(), frame.running_triples(), |machine| {
             frame.util_of(machine)
         })
     }
@@ -150,70 +143,48 @@ impl HierarchySnapshot {
     /// The one materialization path both construction routes share —
     /// [`HierarchySnapshot::at`] and [`HierarchySnapshot::from_frame`] feed
     /// it, which is what makes "from a frame == from the source" a
-    /// structural identity rather than a coincidence. `grouped` must yield
-    /// `((job, task, machine), instance count)` entries in ascending key
-    /// order with positive counts.
-    pub(crate) fn from_grouped(
+    /// structural identity rather than a coincidence. `triples` must ascend
+    /// by `(job, task, machine)`.
+    fn from_triples(
         at: Timestamp,
-        grouped: impl IntoIterator<Item = ((JobId, TaskId, MachineId), u32)>,
+        triples: &[(JobId, TaskId, MachineId)],
         mut util_of: impl FnMut(MachineId) -> Option<UtilizationTriple>,
     ) -> HierarchySnapshot {
         let mut jobs: Vec<JobEntry> = Vec::new();
-        let mut iter = grouped.into_iter().peekable();
-        while let Some(&((job, _, _), _)) = iter.peek() {
-            let entry = Self::job_entry(
+        let mut runs = count_runs(triples).peekable();
+        while let Some(&((job, _, _), _)) = runs.peek() {
+            let mut tasks: Vec<TaskEntry> = Vec::new();
+            while let Some(((_, task, machine), instances)) =
+                runs.next_if(|&((j, _, _), _)| j == job)
+            {
+                let node = NodeEntry {
+                    machine,
+                    instances,
+                    util: util_of(machine),
+                };
+                match tasks.last_mut() {
+                    Some(te) if te.task == task => te.nodes.push(node),
+                    _ => tasks.push(TaskEntry {
+                        task,
+                        nodes: vec![node],
+                    }),
+                }
+            }
+            // Distinct machines, computed once here rather than per
+            // `JobEntry::machines` call.
+            let mut machines: Vec<MachineId> = tasks
+                .iter()
+                .flat_map(|t| t.nodes.iter().map(|n| n.machine))
+                .collect();
+            machines.sort_unstable();
+            machines.dedup();
+            jobs.push(JobEntry {
                 job,
-                std::iter::from_fn(|| {
-                    iter.next_if(|&((j, _, _), _)| j == job)
-                        .map(|((_, task, machine), n)| ((task, machine), n))
-                }),
-                &mut util_of,
-            );
-            jobs.extend(entry);
+                tasks,
+                machines,
+            });
         }
         HierarchySnapshot { at, jobs }
-    }
-
-    /// Builds one job's entry from its ascending `((task, machine), count)`
-    /// rows — the per-job unit [`HierarchySnapshot::from_grouped`] chunks
-    /// into. `None` when the job has no rows.
-    pub(crate) fn job_entry(
-        job: JobId,
-        rows: impl IntoIterator<Item = ((TaskId, MachineId), u32)>,
-        mut util_of: impl FnMut(MachineId) -> Option<UtilizationTriple>,
-    ) -> Option<JobEntry> {
-        let mut tasks: Vec<TaskEntry> = Vec::new();
-        for ((task, machine), instances) in rows {
-            debug_assert!(instances > 0);
-            let node = NodeEntry {
-                machine,
-                instances,
-                util: util_of(machine),
-            };
-            match tasks.last_mut() {
-                Some(te) if te.task == task => te.nodes.push(node),
-                _ => tasks.push(TaskEntry {
-                    task,
-                    nodes: vec![node],
-                }),
-            }
-        }
-        if tasks.is_empty() {
-            return None;
-        }
-        // Distinct machines, computed once here rather than per
-        // `JobEntry::machines` call.
-        let mut machines: Vec<MachineId> = tasks
-            .iter()
-            .flat_map(|t| t.nodes.iter().map(|n| n.machine))
-            .collect();
-        machines.sort_unstable();
-        machines.dedup();
-        Some(JobEntry {
-            job,
-            tasks,
-            machines,
-        })
     }
 
     /// Looks up one job entry.
