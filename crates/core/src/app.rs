@@ -26,8 +26,8 @@ use crate::view::ViewState;
 /// How many entries each of the lens's LRUs retains: back-and-forth
 /// scrubbing between a handful of instants replays frame captures from
 /// cache instead of thrashing a single-entry memo, and a handful of render
-/// viewports keep their prepared timeline strips. It also bounds the strip memo against
-/// clients that request many distinct viewport sizes.
+/// viewports keep their prepared timeline strips. It also bounds the strip
+/// memo against clients that request many distinct viewport sizes.
 const LRU_CAPACITY: usize = 8;
 
 /// A tiny most-recent-first LRU. Linear probing is deliberate: at 8
