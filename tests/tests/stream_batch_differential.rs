@@ -336,9 +336,7 @@ proptest! {
 
     /// The generic analytics consumers — hierarchy snapshot and
     /// co-allocation index — produce structurally equal results from either
-    /// source (they only see the DatasetQuery surface). On each source, the
-    /// products built from one captured `QueryFrame` equal the individually
-    /// queried ones while the source holds still.
+    /// source (they only see the DatasetQuery surface).
     #[test]
     fn snapshots_and_coalloc_equal_from_either_source(soup in soup_strategy()) {
         let cfg = StreamConfig {
@@ -361,6 +359,24 @@ proptest! {
                 "coallocation at {}",
                 t
             );
+        }
+    }
+
+    /// Frame consistency: the hierarchy snapshot and co-allocation index
+    /// built from one captured `QueryFrame`, and the frame's active
+    /// machines, equal their individually queried counterparts while the
+    /// source holds still — on both sources, including probes before the
+    /// first record and past the soup's span.
+    #[test]
+    fn frame_products_equal_individual_queries(soup in soup_strategy()) {
+        let cfg = StreamConfig {
+            horizon: TimeDelta::hours(100),
+            ooo_tolerance: TimeDelta::seconds(TOLERANCE_S),
+            ..Default::default()
+        };
+        let (monitor, ds, _) = stream_and_build(&soup, cfg);
+        let live = monitor.live_view();
+        for t in (-300..6_500).step_by(911).map(Timestamp::new) {
             assert_frame_products_equal_queries(&live, t)?;
             assert_frame_products_equal_queries(&ds, t)?;
         }
