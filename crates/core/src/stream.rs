@@ -39,9 +39,9 @@ use batchlens_analytics::detect::{
 };
 use batchlens_trace::wal::{RecoveryReport, WalError, WalReader, WalRecord, WalWriter};
 use batchlens_trace::{
-    BatchInstanceRecord, DatasetQuery, JobId, MachineEventRecord, MachineId, Metric, QueryFrame,
-    RollingIntervalIndex, ServerUsageRecord, TaskId, TimeDelta, TimeRange, TimeSeries, Timestamp,
-    UtilizationTriple,
+    seek_machine, BatchInstanceRecord, DatasetQuery, JobId, MachineEventRecord, MachineId, Metric,
+    QueryFrame, RollingIntervalIndex, ServerUsageRecord, TaskId, TimeDelta, TimeRange, TimeSeries,
+    Timestamp, UtilizationTriple,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -551,18 +551,60 @@ impl Inner {
             }
         }
     }
+
+    /// Every machine the monitor knows, ascending, each once, with its
+    /// usage state when it reports: `live.known_machines` merged with the
+    /// keys of `machines` in one pass.
+    fn all_machines(&self) -> impl Iterator<Item = (MachineId, Option<&MachineState>)> + '_ {
+        let mut structural = self.live.known_machines.iter().copied().peekable();
+        let mut reporting = self.machines.iter().peekable();
+        std::iter::from_fn(move || {
+            let next_reporting = reporting.peek().map(|&(&id, _)| id);
+            match (structural.peek().copied(), next_reporting) {
+                (Some(id), r) if r.is_none_or(|r| id < r) => {
+                    structural.next();
+                    Some((id, None))
+                }
+                (s, Some(id)) => {
+                    if s == Some(id) {
+                        structural.next();
+                    }
+                    reporting.next().map(|(_, state)| (id, Some(state)))
+                }
+                _ => None,
+            }
+        })
+    }
+
+    /// Retained anomaly alerts per machine, parallel to the ascending
+    /// `machines`. Counts over the retained alert buffer (the same alerts
+    /// `alerts_since` serves), so a frame's sidebar overlay agrees exactly
+    /// with the alert feed captured at the same version.
+    fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
+        let mut counts = vec![0u32; machines.len()];
+        for alert in &self.alerts {
+            if let Ok(i) = machines.binary_search(&alert.machine) {
+                counts[i] = counts[i].saturating_add(1);
+            }
+        }
+        counts
+    }
+}
+
+/// Sample-and-hold utilization from one machine's usage state.
+fn util_of(state: &MachineState, t: Timestamp) -> Option<UtilizationTriple> {
+    let [cpu, mem, disk] = state.window.at_or_before(t)?;
+    Some(UtilizationTriple::clamped(cpu, mem, disk))
 }
 
 /// The per-query logic of [`LiveWindowView`], implemented as a
 /// [`DatasetQuery`] **on the locked state itself**: the lock-per-query
 /// [`LiveWindowView`] impl and the single-lock [`DatasetQuery::frame`]
-/// (inherited as the provided trait method, evaluated entirely under one
-/// lock) share one definition of every answer.
+/// (evaluated entirely under one lock) share one definition of every
+/// answer.
 impl DatasetQuery for Inner {
     fn machine_ids(&self) -> Vec<MachineId> {
-        let mut out = self.live.known_machines.clone();
-        out.extend(self.machines.keys().copied());
-        out.into_iter().collect()
+        self.all_machines().map(|(id, _)| id).collect()
     }
 
     fn jobs_running_at(&self, t: Timestamp) -> Vec<JobId> {
@@ -592,8 +634,7 @@ impl DatasetQuery for Inner {
     }
 
     fn util_at(&self, machine: MachineId, t: Timestamp) -> Option<UtilizationTriple> {
-        let [cpu, mem, disk] = self.machines.get(&machine)?.window.at_or_before(t)?;
-        Some(UtilizationTriple::clamped(cpu, mem, disk))
+        util_of(self.machines.get(&machine)?, t)
     }
 
     fn running_instance_count_at(&self, t: Timestamp) -> usize {
@@ -618,22 +659,35 @@ impl DatasetQuery for Inner {
         self.version
     }
 
-    fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
-        // Counts over the retained alert buffer (the same alerts
-        // `alerts_since` serves), so a frame's sidebar overlay
-        // agrees exactly with the alert feed captured at the same version.
-        let mut counts = vec![0u32; machines.len()];
-        for alert in &self.alerts {
-            if let Ok(i) = machines.binary_search(&alert.machine) {
-                counts[i] = counts[i].saturating_add(1);
-            }
+    /// One ordered pass: the merged machine universe, with
+    /// `live.liveness` walked in step with it, instead of a map search in
+    /// `liveness` and in `machines` per machine.
+    fn frame(&self, at: Timestamp) -> QueryFrame {
+        let capacity = self.machines.len().max(self.live.known_machines.len());
+        let mut machines = Vec::with_capacity(capacity);
+        let mut alive = Vec::with_capacity(capacity);
+        let mut utils = Vec::with_capacity(capacity);
+        let mut liveness = self.live.liveness.iter().peekable();
+        for (machine, state) in self.all_machines() {
+            machines.push(machine);
+            alive.push(
+                seek_machine(&mut liveness, machine).is_none_or(|checkpoints| {
+                    batchlens_trace::alive_at_checkpoints(checkpoints, at)
+                }),
+            );
+            utils.push(state.and_then(|state| util_of(state, at)));
         }
-        counts
+        let anomalies = self.anomaly_counts(&machines);
+        QueryFrame::with_anomalies(
+            at,
+            self.version,
+            self.running_triples_at(at),
+            machines,
+            alive,
+            utils,
+            anomalies,
+        )
     }
-
-    // `frame` is inherited as the provided trait method: evaluated on the
-    // locked `Inner`, its sub-queries all answer from one state — which is
-    // exactly the single-lock transactional frame (anomaly counts included).
 }
 
 /// Thread-safe online monitor over live detector banks.
@@ -1369,10 +1423,6 @@ impl DatasetQuery for LiveWindowView<'_> {
 
     fn state_version(&self) -> u64 {
         self.monitor.inner.lock().state_version()
-    }
-
-    fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
-        self.monitor.inner.lock().anomaly_counts(machines)
     }
 
     /// The **single-lock transactional frame**: every probe of the frame —

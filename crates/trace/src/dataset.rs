@@ -3,9 +3,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    BatchInstanceRecord, BatchTaskRecord, InstanceId, IntervalIndex, JobId, MachineEvent,
-    MachineEventRecord, MachineId, Metric, ServerUsageRecord, TaskId, TimeRange, TimeSeries,
-    Timestamp, TraceError, UtilizationTriple,
+    alive_at_checkpoints, seek_machine, BatchInstanceRecord, BatchTaskRecord, DatasetQuery,
+    InstanceId, IntervalIndex, JobId, MachineEvent, MachineEventRecord, MachineId, Metric,
+    QueryFrame, ServerUsageRecord, TaskId, TimeRange, TimeSeries, Timestamp, TraceError,
+    UtilizationTriple,
 };
 
 /// A fully indexed, immutable trace: the substrate every BatchLens view
@@ -57,8 +58,8 @@ pub struct TraceDataset {
 /// One machine's utilization samples in struct-of-arrays form: the three
 /// metric series are built from the same `server_usage` rows, so they share
 /// one sample grid — one sorted time array plus parallel triples answers
-/// sample-and-hold queries with a single binary search (and one cache-local
-/// read) where three per-series searches did before.
+/// sample-and-hold queries with a single search (and one cache-local read)
+/// where three per-series searches did before.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct UtilSamples {
     times: Vec<Timestamp>,
@@ -68,9 +69,56 @@ struct UtilSamples {
 impl UtilSamples {
     /// The last sample at or before `t` (`None` before the first sample).
     fn at_or_before(&self, t: Timestamp) -> Option<UtilizationTriple> {
-        let idx = self.times.partition_point(|&st| st <= t);
+        let idx = count_at_or_before(&self.times, t);
         (idx > 0).then(|| self.triples[idx - 1])
     }
+}
+
+/// How many of the ascending `times` are at or before `t` — exactly
+/// `times.partition_point(|&s| s <= t)`, found by a guessed search.
+///
+/// Machines report on near-regular grids, so the search starts at the
+/// index `t` would have on an evenly spaced grid, `(t − first)·(n − 1) /
+/// (last − first)`, computed in `i128` so no timestamp can overflow it. It
+/// then gallops away from the guess until the answer is bracketed and
+/// bisects inside the bracket. On an even grid the guess is the answer and
+/// the search reads one or two adjacent entries instead of a bisection's
+/// ~log₂ n scattered ones; a guess `d` entries off costs ~2·log₂ d probes,
+/// so the worst case is about twice a bisection's.
+fn count_at_or_before(times: &[Timestamp], t: Timestamp) -> usize {
+    let (Some(&first), Some(&last)) = (times.first(), times.last()) else {
+        return 0;
+    };
+    if t < first {
+        return 0;
+    }
+    if t >= last {
+        return times.len();
+    }
+    // Here first <= t < last, so the answer lies in 1..n and the guess,
+    // below n − 1, has a successor.
+    let span = i128::from(last.seconds()) - i128::from(first.seconds());
+    let offset = i128::from(t.seconds()) - i128::from(first.seconds());
+    let guess = (offset * (times.len() as i128 - 1) / span) as usize;
+    // Bracket the answer as times[lo] <= t < times[hi].
+    let (mut lo, mut hi) = (guess, guess);
+    let mut step = 1;
+    if times[guess] <= t {
+        hi = guess + 1;
+        while times[hi] <= t {
+            lo = hi;
+            hi = (hi + step).min(times.len() - 1);
+            step *= 2;
+        }
+    } else {
+        lo = guess - 1;
+        while times[lo] > t {
+            hi = lo;
+            lo = lo.saturating_sub(step);
+            step *= 2;
+        }
+    }
+    lo + 1 + times[lo + 1..hi].partition_point(|&s| s <= t)
 }
 
 /// Static information about one machine.
@@ -810,6 +858,33 @@ impl TraceDataset {
         self.cached_span
     }
 
+    /// The body of this dataset's [`DatasetQuery::frame`]: one ordered
+    /// pass over the machine table that walks the liveness and
+    /// utilization indexes in step with it (all three ascend by machine
+    /// id), instead of a map search in each per machine.
+    pub(crate) fn capture_frame(&self, at: Timestamp) -> QueryFrame {
+        let machines: Vec<MachineId> = self.machines.keys().copied().collect();
+        let mut alive = Vec::with_capacity(machines.len());
+        let mut utils = Vec::with_capacity(machines.len());
+        let mut liveness = self.liveness.iter().peekable();
+        let mut util_index = self.util_index.iter().peekable();
+        for &machine in &machines {
+            alive.push(
+                seek_machine(&mut liveness, machine)
+                    .is_none_or(|checkpoints| alive_at_checkpoints(checkpoints, at)),
+            );
+            utils.push(seek_machine(&mut util_index, machine).and_then(|u| u.at_or_before(at)));
+        }
+        QueryFrame::new(
+            at,
+            self.state_version(),
+            self.running_triples_at(at),
+            machines,
+            alive,
+            utils,
+        )
+    }
+
     fn instance_by_idx(&self, idx: usize) -> InstanceRef<'_> {
         InstanceRef {
             record: &self.instances[idx],
@@ -1019,7 +1094,7 @@ impl<'a> MachineView<'a> {
     }
 
     /// The machine's utilization triple at `t` (sample-and-hold), or `None`
-    /// before its first sample. One lookup + one binary search over the
+    /// before its first sample. One lookup + one guessed search over the
     /// combined utilization samples (the three metrics share a grid).
     pub fn util_at(&self, t: Timestamp) -> Option<UtilizationTriple> {
         self.ds.util_index.get(&self.id)?.at_or_before(t)
@@ -1044,6 +1119,7 @@ impl<'a> MachineView<'a> {
 mod tests {
     use super::*;
     use crate::TaskStatus;
+    use proptest::prelude::*;
 
     fn task(job: u32, task_id: u32, n: u32, t0: i64, t1: i64) -> BatchTaskRecord {
         BatchTaskRecord {
@@ -1345,5 +1421,109 @@ mod tests {
             b.build(),
             Err(TraceError::UnorderedSamples { .. })
         ));
+    }
+
+    /// Checks the guessed search against `partition_point` on every sample,
+    /// both neighbours of every sample, and the extreme timestamps.
+    fn assert_guessed_search_exact(times: &[Timestamp]) -> Result<(), TestCaseError> {
+        let probes = times
+            .iter()
+            .flat_map(|t| {
+                let s = t.seconds();
+                [s.saturating_sub(1), s, s.saturating_add(1)]
+            })
+            .chain([i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX]);
+        for t in probes.map(Timestamp::new) {
+            prop_assert_eq!(
+                count_at_or_before(times, t),
+                times.partition_point(|&s| s <= t),
+                "t = {} over {} samples",
+                t,
+                times.len()
+            );
+        }
+        Ok(())
+    }
+
+    fn ascending(start: i64, gaps: &[i64]) -> Vec<Timestamp> {
+        std::iter::once(start)
+            .chain(gaps.iter().scan(start, |t, &gap| {
+                *t = t.checked_add(gap)?;
+                Some(*t)
+            }))
+            .map(Timestamp::new)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Strictly ascending samples whose gaps mix seconds, minutes,
+        /// hours and weeks, so the interpolated guess is often far off.
+        #[test]
+        fn guessed_search_equals_partition_point_on_irregular_gaps(
+            start in -1_000_000_000i64..1_000_000_000,
+            gaps in prop::collection::vec((1i64..60, 0usize..4), 0..300),
+        ) {
+            let gaps: Vec<i64> = gaps
+                .iter()
+                .map(|&(gap, unit)| gap * [1, 60, 3_600, 604_800][unit])
+                .collect();
+            assert_guessed_search_exact(&ascending(start, &gaps))?;
+        }
+
+        /// An even grid with some samples missing.
+        #[test]
+        fn guessed_search_equals_partition_point_on_grids_with_holes(
+            start in -100_000i64..100_000,
+            step in 1i64..600,
+            n in 1usize..2_000,
+            holes in prop::collection::vec(0usize..2_000, 0..40),
+        ) {
+            let times: Vec<Timestamp> = (0..n)
+                .filter(|i| !holes.contains(i))
+                .map(|i| Timestamp::new(start + i as i64 * step))
+                .collect();
+            assert_guessed_search_exact(&times)?;
+        }
+
+        /// Samples spread across the whole `i64` range, where a
+        /// 64-bit interpolation would overflow.
+        #[test]
+        fn guessed_search_equals_partition_point_near_the_extremes(
+            from_min in 0i64..1_000,
+            gaps in prop::collection::vec(1i64..(i64::MAX / 40), 0..80),
+        ) {
+            assert_guessed_search_exact(&ascending(i64::MIN + from_min, &gaps))?;
+            // The mirror image, ending at i64::MAX: `!s` reverses the order.
+            let mut mirrored: Vec<Timestamp> = ascending(i64::MIN + from_min, &gaps)
+                .into_iter()
+                .map(|t| Timestamp::new(!t.seconds()))
+                .collect();
+            mirrored.reverse();
+            assert_guessed_search_exact(&mirrored)?;
+        }
+    }
+
+    #[test]
+    fn guessed_search_edges() {
+        let ts = |v: &[i64]| v.iter().copied().map(Timestamp::new).collect::<Vec<_>>();
+        for times in [
+            ts(&[]),
+            ts(&[0]),
+            ts(&[i64::MIN]),
+            ts(&[i64::MAX]),
+            ts(&[i64::MIN, i64::MAX]),
+            ts(&[i64::MIN, i64::MIN + 1, 0, i64::MAX - 1, i64::MAX]),
+            ts(&[0, 60, 120, 180, 240]),
+            ts(&[0, 1, 2, 3, 1_000_000]),
+            ts(&[0, 999_997, 999_998, 999_999, 1_000_000]),
+            ts(&[5, 5, 5, 7, 7, 9]),
+        ] {
+            if let Err(e) = assert_guessed_search_exact(&times) {
+                panic!("{e}");
+            }
+        }
+        assert_eq!(count_at_or_before(&[], Timestamp::new(i64::MAX)), 0);
     }
 }

@@ -10,7 +10,10 @@
 //!
 //! [`DatasetQuery::frame`] captures every answer at one instant as one
 //! [`QueryFrame`]; the hierarchy snapshot and co-allocation index that a
-//! served frame shows are built from it.
+//! served frame shows are built from it. Each source captures a frame in
+//! one ordered pass over its machine-keyed indexes ([`seek_machine`]), not
+//! by issuing the per-machine queries one by one; those queries stay the
+//! reference the frame is tested against.
 //!
 //! Implementations:
 //!
@@ -19,6 +22,8 @@
 //! * `batchlens::stream::LiveWindowView` (crate `batchlens`) — served by the
 //!   monitor's [`crate::RollingIntervalIndex`] and rolling liveness
 //!   checkpoints over the live window, same bounds, no window re-scan.
+
+use std::iter::Peekable;
 
 use crate::{
     JobId, MachineId, Metric, TaskId, TimeRange, TimeSeries, Timestamp, UtilizationTriple,
@@ -38,11 +43,33 @@ pub fn alive_at_checkpoints(checkpoints: &[(Timestamp, bool)], t: Timestamp) -> 
     }
 }
 
+/// Steps `entries`, an iterator over a map keyed by ascending
+/// [`MachineId`], forward to `machine` and returns its value, or `None`
+/// when the map has no entry for it. Called with ascending machines, it
+/// walks the map once in step with them — the ordered pass with which each
+/// source captures a [`QueryFrame`], in place of one map search per
+/// machine.
+pub fn seek_machine<'a, V: 'a>(
+    entries: &mut Peekable<impl Iterator<Item = (&'a MachineId, &'a V)>>,
+    machine: MachineId,
+) -> Option<&'a V> {
+    while let Some(&(&id, value)) = entries.peek() {
+        if id > machine {
+            break;
+        }
+        entries.next();
+        if id == machine {
+            return Some(value);
+        }
+    }
+    None
+}
+
 /// One timestamp's worth of structural queries, captured **transactionally
 /// consistently**: every answer in a frame reflects the same source state.
 ///
 /// For an immutable batch dataset that is trivially true; for a live window
-/// the overriding implementation ([`DatasetQuery::frame`] on
+/// the implementation ([`DatasetQuery::frame`] on
 /// `batchlens::stream::LiveWindowView`) acquires the monitor lock **once**
 /// and answers every probe under it — where issuing the sub-queries
 /// individually would let concurrent ingest slide the window between them.
@@ -263,40 +290,17 @@ pub trait DatasetQuery {
         0
     }
 
-    /// Retained anomaly alerts per machine, parallel to `machines`. The
-    /// default returns zeros — batch datasets have no anomaly stream. Live
-    /// monitors override it to count their retained alert buffer, so the
-    /// default [`DatasetQuery::frame`] picks the counts up under the same
-    /// lock as every other probe.
-    fn anomaly_counts(&self, machines: &[MachineId]) -> Vec<u32> {
-        vec![0; machines.len()]
-    }
-
     /// Captures every structural query at `at` as one transactionally
-    /// consistent [`QueryFrame`].
+    /// consistent [`QueryFrame`], equal to what the individual queries
+    /// answer from the same source state.
     ///
-    /// The default issues the sub-queries individually — fine for immutable
-    /// sources, where every query answers from the same state anyway.
-    /// Mutable live sources override it to take their lock **once** and
-    /// answer the whole frame under it (the frame consistency guarantee:
-    /// hierarchy, co-allocation, utilization, alive-set and anomaly-count
-    /// probes derived from one frame can never disagree about the window
-    /// state).
-    fn frame(&self, at: Timestamp) -> QueryFrame {
-        let machines = self.machine_ids();
-        let alive = machines.iter().map(|&m| self.alive_at(m, at)).collect();
-        let utils = machines.iter().map(|&m| self.util_at(m, at)).collect();
-        let anomalies = self.anomaly_counts(&machines);
-        QueryFrame::with_anomalies(
-            at,
-            self.state_version(),
-            self.running_triples_at(at),
-            machines,
-            alive,
-            utils,
-            anomalies,
-        )
-    }
+    /// Each source builds the frame in one ordered pass over its
+    /// machine-keyed indexes. A mutable live source takes its lock **once**
+    /// and answers the whole frame under it (the frame consistency
+    /// guarantee: hierarchy, co-allocation, utilization, alive-set and
+    /// anomaly-count probes derived from one frame can never disagree about
+    /// the window state).
+    fn frame(&self, at: Timestamp) -> QueryFrame;
 }
 
 impl DatasetQuery for crate::TraceDataset {
@@ -341,6 +345,10 @@ impl DatasetQuery for crate::TraceDataset {
         window: &TimeRange,
     ) -> Option<TimeSeries> {
         Some(self.machine(machine)?.usage(metric)?.slice(window))
+    }
+
+    fn frame(&self, at: Timestamp) -> QueryFrame {
+        self.capture_frame(at)
     }
 }
 

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use batchlens::analytics::coalloc::CoallocationIndex;
 use batchlens::analytics::hierarchy::HierarchySnapshot;
-use batchlens::stream::{StreamConfig, StreamMonitor};
+use batchlens::stream::{Alert, StreamConfig, StreamMonitor};
 use batchlens::trace::{
     BatchInstanceRecord, BatchTaskRecord, DatasetQuery, JobId, MachineEvent, MachineEventRecord,
     MachineId, Metric, ServerUsageRecord, TaskId, TaskStatus, TimeDelta, TimeRange, Timestamp,
@@ -362,11 +362,11 @@ proptest! {
         }
     }
 
-    /// Frame consistency: the hierarchy snapshot and co-allocation index
-    /// built from one captured `QueryFrame`, and the frame's active
-    /// machines, equal their individually queried counterparts while the
-    /// source holds still — on both sources, including probes before the
-    /// first record and past the soup's span.
+    /// Frame consistency: every field of one captured `QueryFrame`, and
+    /// the hierarchy snapshot and co-allocation index built from it, equal
+    /// their individually queried counterparts while the source holds
+    /// still — on both sources, including probes before the first record
+    /// and past the soup's span.
     #[test]
     fn frame_products_equal_individual_queries(soup in soup_strategy()) {
         let cfg = StreamConfig {
@@ -376,20 +376,59 @@ proptest! {
         };
         let (monitor, ds, _) = stream_and_build(&soup, cfg);
         let live = monitor.live_view();
+        let alerts = monitor.alerts_since(0).alerts;
         for t in (-300..6_500).step_by(911).map(Timestamp::new) {
-            assert_frame_products_equal_queries(&live, t)?;
-            assert_frame_products_equal_queries(&ds, t)?;
+            assert_frame_products_equal_queries(&live, &alerts, t)?;
+            // A batch dataset has no anomaly stream: every count is zero.
+            assert_frame_products_equal_queries(&ds, &[], t)?;
         }
     }
 }
 
-/// Asserts that the products built from one frame of `src` captured at `t`
-/// equal the ones queried from `src` directly.
+/// Asserts that every field of one frame of `src` captured at `t`, and the
+/// products built from it, equal the ones queried from `src` directly;
+/// `alerts` is the source's retained alert buffer, which the frame's
+/// per-machine anomaly counts must count.
 fn assert_frame_products_equal_queries<Q: DatasetQuery>(
     src: &Q,
+    alerts: &[Alert],
     t: Timestamp,
 ) -> Result<(), TestCaseError> {
     let frame = src.frame(t);
+    prop_assert_eq!(frame.at(), t);
+    prop_assert_eq!(frame.version(), src.state_version(), "version at {}", t);
+    let machines = src.machine_ids();
+    prop_assert_eq!(frame.machine_ids(), &machines[..], "machines at {}", t);
+    for &m in &machines {
+        prop_assert_eq!(
+            frame.alive(m),
+            src.alive_at(m, t),
+            "alive({}) in the frame at {}",
+            m,
+            t
+        );
+        // Bit-identical utilization triples (f64 equality, not tolerance).
+        prop_assert_eq!(
+            frame.util_of(m),
+            src.util_at(m, t),
+            "util_of({}) in the frame at {}",
+            m,
+            t
+        );
+        prop_assert_eq!(
+            frame.anomaly_count(m) as usize,
+            alerts.iter().filter(|a| a.machine == m).count(),
+            "anomaly_count({}) in the frame at {}",
+            m,
+            t
+        );
+    }
+    prop_assert_eq!(
+        frame.running_triples(),
+        &src.running_triples_at(t)[..],
+        "running triples in the frame at {}",
+        t
+    );
     prop_assert_eq!(
         HierarchySnapshot::from_frame(&frame),
         HierarchySnapshot::at(src, t),
