@@ -26,6 +26,10 @@ const MAX_LINE: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
 /// Largest accepted message body, in bytes.
 const MAX_BODY: usize = 1024 * 1024;
+/// Largest request the limits above admit: a request line and
+/// `MAX_HEADERS` header lines, each with its CRLF, the blank line, and the
+/// body.
+pub(crate) const MAX_REQUEST_BYTES: usize = (MAX_HEADERS + 2) * (MAX_LINE + 2) + MAX_BODY;
 
 /// A framing or I/O failure while reading an HTTP message.
 #[derive(Debug)]

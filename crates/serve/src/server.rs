@@ -16,7 +16,7 @@
 //! [`Server::serve`] joins them all and returns.
 
 use std::io::{BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 
-use crate::codec::{read_request, CodecError, Response};
+use crate::codec::{read_request, CodecError, Response, MAX_REQUEST_BYTES};
 use crate::router::{route, RouterContext};
 use crate::session::SessionManager;
 use crate::stats::ServeStats;
@@ -226,7 +226,14 @@ impl Server {
 
     /// Answers one over-capacity connection with the shed `503` (see
     /// [`Response::service_unavailable`] for the contract) — best effort,
-    /// bounded by the write timeout, never read from.
+    /// bounded by the write timeout.
+    ///
+    /// Closing a socket with unread input makes the kernel answer with a
+    /// reset, which can destroy the `503` before the client reads it. So
+    /// the write half is shut down first (the client reads the `503`, then
+    /// end-of-stream), and what the client has already sent is discarded
+    /// without blocking, at most one request's worth (the codec's
+    /// `MAX_REQUEST_BYTES`), before the socket is dropped.
     fn shed(&self, mut stream: TcpStream) {
         self.stats.connection_shed();
         let _ = stream.set_write_timeout(Some(self.cfg.write_timeout));
@@ -236,6 +243,18 @@ impl Server {
             self.cfg.retry_after.as_secs().max(1),
         )
         .write_to(&mut stream);
+        let _ = stream.shutdown(Shutdown::Write);
+        if stream.set_nonblocking(true).is_ok() {
+            let mut sink = [0u8; 4096];
+            let mut discarded = 0;
+            while discarded < MAX_REQUEST_BYTES {
+                match stream.read(&mut sink) {
+                    Ok(n) if n > 0 => discarded += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    _ => break,
+                }
+            }
+        }
     }
 
     fn worker_loop(&self, rx: &Mutex<Receiver<TcpStream>>, workers: usize) {
@@ -548,6 +567,58 @@ mod tests {
         assert_eq!(resp.header("connection"), Some("close"));
         assert!(server.stats().connections_shed() >= 1);
         drop(shed);
+        drop(queued);
+        drop(parked);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn shed_connections_that_sent_a_request_read_the_503() {
+        // Saturated as above. Each burst connection sends its whole request
+        // before reading, so the accept loop sheds a socket with unread
+        // input; the client must still read the 503, not a reset.
+        let (server, handle, join) = start_server_with(ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            idle_timeout: Duration::from_secs(30),
+            ..ServeConfig::default()
+        });
+        let addr = server.local_addr();
+        let parked = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let queued = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        const BURSTS: usize = 40;
+        const BURST: usize = 8;
+        for _ in 0..BURSTS {
+            let start = Arc::new(std::sync::Barrier::new(BURST));
+            let clients: Vec<_> = (0..BURST)
+                .map(|_| {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        start.wait();
+                        let mut conn = TcpStream::connect(addr).unwrap();
+                        conn.write_all(
+                            b"GET /statsz HTTP/1.1\r\nconnection: close\r\ncontent-length: 0\r\n\r\n",
+                        )
+                        .unwrap();
+                        read_response(&mut BufReader::new(conn))
+                    })
+                })
+                .collect();
+            for client in clients {
+                let resp = client
+                    .join()
+                    .unwrap()
+                    .expect("a shed client reads its response, not a reset")
+                    .expect("shed connections get a response, not silence");
+                assert_eq!(resp.status, 503);
+                assert_eq!(resp.header("retry-after"), Some("1"));
+                assert_eq!(resp.header("connection"), Some("close"));
+            }
+        }
+        assert!(server.stats().connections_shed() >= (BURSTS * BURST) as u64);
         drop(queued);
         drop(parked);
         handle.shutdown();
