@@ -29,8 +29,8 @@ use std::time::Instant;
 use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::wal::{WalConfig, WalWriter};
 use batchlens::trace::{
-    csv, naive, DatasetQuery, JobId, MachineId, Metric, ServerUsageRecord, TimeDelta, TimeSeries,
-    Timestamp, TraceDataset, UtilizationTriple,
+    csv, naive, DatasetQuery, JobId, MachineId, Metric, QueryFrame, ServerUsageRecord, TimeDelta,
+    TimeSeries, Timestamp, TraceDataset, UtilizationTriple,
 };
 use batchlens_bench::medium_dataset;
 use batchlens_sim::{SimConfig, Simulation};
@@ -435,6 +435,49 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
             .sum::<usize>()
     });
     entries.push(entry(format!("stream_query_{suffix}"), naive_s, optimized));
+
+    // --- batch frame capture: `TraceDataset::frame`'s one ordered pass
+    //     over the machine-keyed indexes vs a per-query capture, which is
+    //     what the trait's provided `frame` used to do: the machine list,
+    //     then `alive_at` and `util_at` per machine (a map search in each
+    //     index for each), then the running triples. The frames are equal
+    //     (checked here once per probe). ---
+    let per_query_frame = |t: Timestamp| {
+        let machines = DatasetQuery::machine_ids(ds);
+        let alive = machines
+            .iter()
+            .map(|&m| DatasetQuery::alive_at(ds, m, t))
+            .collect();
+        let utils = machines
+            .iter()
+            .map(|&m| DatasetQuery::util_at(ds, m, t))
+            .collect();
+        QueryFrame::new(
+            t,
+            ds.state_version(),
+            ds.running_triples_at(t),
+            machines,
+            alive,
+            utils,
+        )
+    };
+    for &t in &probes {
+        assert_eq!(ds.frame(t), per_query_frame(t), "frame at {t}");
+    }
+    let capture_reps = if tier == Tier::Paper { 5 } else { 10 };
+    let optimized = measure(capture_reps, || {
+        probes
+            .iter()
+            .map(|&t| ds.frame(t).running_instance_count())
+            .sum::<usize>()
+    });
+    let naive_s = measure(capture_reps, || {
+        probes
+            .iter()
+            .map(|&t| per_query_frame(t).running_instance_count())
+            .sum::<usize>()
+    });
+    entries.push(entry(format!("frame_capture_{suffix}"), naive_s, optimized));
 
     // --- live frame queries: one batched, transactionally consistent
     //     QueryFrame per timestamp (one lock acquisition for hierarchy +
