@@ -589,7 +589,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         let queued = TcpStream::connect(addr).unwrap();
         std::thread::sleep(Duration::from_millis(100));
-        const BURSTS: usize = 40;
+        const BURSTS: usize = 125;
         const BURST: usize = 8;
         for _ in 0..BURSTS {
             let start = Arc::new(std::sync::Barrier::new(BURST));
