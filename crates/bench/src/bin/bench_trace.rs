@@ -437,11 +437,10 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     entries.push(entry(format!("stream_query_{suffix}"), naive_s, optimized));
 
     // --- batch frame capture: `TraceDataset::frame`'s one ordered pass
-    //     over the machine-keyed indexes vs a per-query capture, which is
-    //     what the trait's provided `frame` used to do: the machine list,
-    //     then `alive_at` and `util_at` per machine (a map search in each
-    //     index for each), then the running triples. The frames are equal
-    //     (checked here once per probe). ---
+    //     over the machine-keyed indexes vs a capture from the individual
+    //     queries: the machine list, then `alive_at` and `util_at` per
+    //     machine (a map search in each index for each), then the running
+    //     triples. The frames are equal (checked here once per probe). ---
     let per_query_frame = |t: Timestamp| {
         let machines = DatasetQuery::machine_ids(ds);
         let alive = machines

@@ -1426,10 +1426,11 @@ impl DatasetQuery for LiveWindowView<'_> {
     }
 
     /// The **single-lock transactional frame**: every probe of the frame —
-    /// running triples, liveness, utilization, the version stamp — is
-    /// answered under one lock acquisition, so concurrent ingest can never
-    /// slide the window between the sub-answers the way it can when the
-    /// queries are issued individually.
+    /// running triples, liveness, utilization, anomaly counts, the version
+    /// stamp — is answered under one lock acquisition, in the locked
+    /// state's one ordered pass over its machines, so concurrent ingest can
+    /// never slide the window between the sub-answers the way it can when
+    /// the queries are issued individually.
     fn frame(&self, at: Timestamp) -> QueryFrame {
         self.monitor.inner.lock().frame(at)
     }
