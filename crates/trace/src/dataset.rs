@@ -13,7 +13,8 @@ use crate::{
 /// queries.
 ///
 /// Build one with [`TraceDatasetBuilder`] (from simulator output or parsed
-/// CSV tables). The dataset owns:
+/// CSV tables) or open one from a segment store ([`TraceDataset::open`]).
+/// The dataset owns:
 ///
 /// * the **batch hierarchy** — jobs → tasks → instances, each instance pinned
 ///   to one machine,
@@ -21,19 +22,27 @@ use crate::{
 /// * the **usage series** — one [`TimeSeries`] per machine per
 ///   [`Metric`].
 ///
+/// It holds each fact once, and its reads rely on two facts both
+/// constructors establish:
+///
+/// * the instance table ascends by `(job, task, seq)`, so a task's
+///   instances are one run of it, found with two binary searches;
+/// * a machine's three usage series share one time grid (both are built
+///   from the same `server_usage` rows), so one search on the CPU grid
+///   indexes all three.
+///
 /// All accessors are `O(log n)` or better thanks to the indexes built at
 /// construction time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceDataset {
     tasks: BTreeMap<(JobId, TaskId), BatchTaskRecord>,
+    /// Every instance, ascending by `(job, task, seq)`.
     instances: Vec<BatchInstanceRecord>,
-    /// `(job, task)` → indices into `instances`, sorted by seq.
-    task_instances: BTreeMap<(JobId, TaskId), Vec<usize>>,
     /// machine → indices into `instances`.
     machine_instances: BTreeMap<MachineId, Vec<usize>>,
     machines: BTreeMap<MachineId, MachineInfo>,
     machine_events: Vec<MachineEventRecord>,
-    /// machine → `[cpu, mem, disk]` series.
+    /// machine → `[cpu, mem, disk]` series, all three on one time grid.
     usage: BTreeMap<MachineId, [TimeSeries; 3]>,
     /// Interval index over every instance's execution window; payload ids
     /// are indices into `instances`.
@@ -47,31 +56,23 @@ pub struct TraceDataset {
     /// machine → sorted `(event time, alive afterwards)` checkpoints, for
     /// O(log n) liveness lookups.
     liveness: BTreeMap<MachineId, Vec<(Timestamp, bool)>>,
-    /// machine → combined sample-and-hold utilization samples (one sorted
-    /// time grid + parallel triples), for single-search `util_at`
-    /// resolution.
-    util_index: BTreeMap<MachineId, UtilSamples>,
     /// The union time span, precomputed at build time.
     cached_span: Option<TimeRange>,
 }
 
-/// One machine's utilization samples in struct-of-arrays form: the three
-/// metric series are built from the same `server_usage` rows, so they share
-/// one sample grid — one sorted time array plus parallel triples answers
-/// sample-and-hold queries with a single search (and one cache-local read)
-/// where three per-series searches did before.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-struct UtilSamples {
-    times: Vec<Timestamp>,
-    triples: Vec<UtilizationTriple>,
+/// Sample `i` of one machine's `[cpu, mem, disk]` series, which share one
+/// grid, as a clamped triple.
+fn triple_at(series: &[TimeSeries; 3], i: usize) -> UtilizationTriple {
+    let [cpu, mem, disk] = series;
+    UtilizationTriple::clamped(cpu.values()[i], mem.values()[i], disk.values()[i])
 }
 
-impl UtilSamples {
-    /// The last sample at or before `t` (`None` before the first sample).
-    fn at_or_before(&self, t: Timestamp) -> Option<UtilizationTriple> {
-        let idx = count_at_or_before(&self.times, t);
-        (idx > 0).then(|| self.triples[idx - 1])
-    }
+/// One machine's sample-and-hold utilization at `t` (`None` before its
+/// first sample): one guessed search on the CPU grid, whose index the
+/// memory and disk series share.
+fn util_at_or_before(series: &[TimeSeries; 3], t: Timestamp) -> Option<UtilizationTriple> {
+    let n = count_at_or_before(series[0].times(), t);
+    (n > 0).then(|| triple_at(series, n - 1))
 }
 
 /// How many of the ascending `times` are at or before `t` — exactly
@@ -295,64 +296,23 @@ impl TraceDatasetBuilder {
             Ok(())
         })?;
 
-        // Group instance indices per (job, task) and per machine: chunked
-        // grouping maps merged in chunk order keep each key's index list in
-        // ascending order, exactly as the serial single pass builds it.
+        // Group instance indices per machine: chunked grouping maps merged
+        // in chunk order keep each machine's index list in ascending order,
+        // exactly as the serial single pass builds it.
         let grouped = batchlens_exec::run_indexed(threads, chunks.len(), |c| {
             let (lo, hi) = chunks[c];
-            let mut by_task: BTreeMap<(JobId, TaskId), Vec<usize>> = BTreeMap::new();
             let mut by_machine: BTreeMap<MachineId, Vec<usize>> = BTreeMap::new();
             for (off, rec) in instances[lo..hi].iter().enumerate() {
-                by_task
-                    .entry((rec.job, rec.task))
-                    .or_default()
-                    .push(lo + off);
                 by_machine.entry(rec.machine).or_default().push(lo + off);
             }
-            (by_task, by_machine)
+            by_machine
         });
-        for (by_task, by_machine) in grouped {
-            for (key, idxs) in by_task {
-                ds.task_instances.entry(key).or_default().extend(idxs);
-            }
+        for by_machine in grouped {
             for (key, idxs) in by_machine {
                 ds.machine_instances.entry(key).or_default().extend(idxs);
             }
         }
         ds.instances = instances;
-
-        // Machine table: explicit declarations take precedence, then Add
-        // events (which carry capacities), then machines implied by any
-        // other lifecycle event, placement or usage row with default
-        // capacities. A machine that only ever emitted a Remove/error event
-        // is still a machine the trace knows about — its liveness
-        // checkpoints must be reachable through the machine table, and the
-        // live-window view counts it identically.
-        for (m, info) in &self.declared_machines {
-            ds.machines.insert(*m, *info);
-        }
-        for ev in &self.machine_events {
-            if ev.event == MachineEvent::Add {
-                ds.machines.entry(ev.machine).or_insert(MachineInfo {
-                    capacity_cpu: ev.capacity_cpu,
-                    capacity_mem: ev.capacity_mem,
-                    capacity_disk: ev.capacity_disk,
-                });
-            }
-        }
-        for ev in &self.machine_events {
-            ds.machines.entry(ev.machine).or_default();
-        }
-        for rec in &ds.instances {
-            ds.machines.entry(rec.machine).or_default();
-        }
-        for rec in &self.usage {
-            ds.machines.entry(rec.machine).or_default();
-        }
-
-        let mut events = self.machine_events.clone();
-        events.sort_by_key(|e| (e.time, e.machine));
-        ds.machine_events = events;
 
         // Usage: group by machine (sharded over input chunks, merged in
         // chunk order so each machine keeps its input order), then one
@@ -396,6 +356,17 @@ impl TraceDatasetBuilder {
             Ok((*machine, [cpu, mem, disk]))
         })?;
         ds.usage = built.into_iter().collect();
+
+        // Add events in input order, so the first Add of a machine wins.
+        ds.machines = machine_table(
+            self.declared_machines.clone(),
+            &self.machine_events,
+            &ds.instances,
+            &ds.usage,
+        );
+        let mut events = self.machine_events.clone();
+        events.sort_by_key(|e| (e.time, e.machine));
+        ds.machine_events = events;
 
         ds.build_indexes(threads);
         Ok(ds)
@@ -471,19 +442,8 @@ impl TraceDataset {
                 }
             }
         }
-        // Grouping: per-(job, task) index runs are contiguous, and the
-        // per-machine lists collect ascending indices — exactly what the
-        // builder's chunk-merged maps hold.
-        let mut start = 0;
-        while start < t.instances.len() {
-            let key = (t.instances[start].job, t.instances[start].task);
-            let mut end = start + 1;
-            while end < t.instances.len() && (t.instances[end].job, t.instances[end].task) == key {
-                end += 1;
-            }
-            ds.task_instances.insert(key, (start..end).collect());
-            start = end;
-        }
+        // Grouping: the per-machine lists collect ascending indices —
+        // exactly what the builder's chunk-merged maps hold.
         for (idx, rec) in t.instances.iter().enumerate() {
             ds.machine_instances
                 .entry(rec.machine)
@@ -492,43 +452,50 @@ impl TraceDataset {
         }
         ds.instances = t.instances;
 
-        // Machine table: the builder's precedence ladder — declarations,
-        // then Add events (which carry capacities), then any other
-        // reference with default capacities. Machine-major usage means
-        // only run boundaries ever touch the map, not every sample row.
-        for (m, info) in &t.machines {
-            ds.machines.insert(*m, *info);
-        }
-        for ev in &t.events {
-            if ev.event == MachineEvent::Add {
-                ds.machines.entry(ev.machine).or_insert(MachineInfo {
-                    capacity_cpu: ev.capacity_cpu,
-                    capacity_mem: ev.capacity_mem,
-                    capacity_disk: ev.capacity_disk,
-                });
-            }
-        }
-        for ev in &t.events {
-            ds.machines.entry(ev.machine).or_default();
-        }
-        for rec in &ds.instances {
-            ds.machines.entry(rec.machine).or_default();
-        }
-        for (m, _) in &t.usage {
-            ds.machines.entry(*m).or_default();
-        }
-
-        // Events arrive `(time, machine)`-sorted — the builder's sort is
-        // a verified no-op here.
-        ds.machine_events = t.events;
-
         // Usage arrives as finished per-machine series (built straight
         // from the store's machine-major columns), machine-ascending.
         ds.usage = t.usage.into_iter().collect();
 
+        // Add events in `(time, machine)` order, as the store reads them.
+        ds.machines = machine_table(t.machines, &t.events, &ds.instances, &ds.usage);
+        // Events arrive `(time, machine)`-sorted — the builder's sort is
+        // a verified no-op here.
+        ds.machine_events = t.events;
+
         ds.build_indexes(threads);
         Ok(ds)
     }
+}
+
+/// The machine table both constructors build, by one precedence rule:
+/// declared capacities first, then the capacities of each machine's first
+/// Add event in `events` order, then default capacities for every other
+/// machine the trace references (any lifecycle event, placement or usage
+/// series). A machine that only ever emitted a Remove/error event is still
+/// a machine the trace knows about — its liveness checkpoints must be
+/// reachable through the machine table, and the live-window view counts it
+/// identically.
+fn machine_table(
+    declared: impl IntoIterator<Item = (MachineId, MachineInfo)>,
+    events: &[MachineEventRecord],
+    instances: &[BatchInstanceRecord],
+    usage: &BTreeMap<MachineId, [TimeSeries; 3]>,
+) -> BTreeMap<MachineId, MachineInfo> {
+    let mut machines = BTreeMap::new();
+    machines.extend(declared);
+    for ev in events.iter().filter(|ev| ev.event == MachineEvent::Add) {
+        machines.entry(ev.machine).or_insert(MachineInfo {
+            capacity_cpu: ev.capacity_cpu,
+            capacity_mem: ev.capacity_mem,
+            capacity_disk: ev.capacity_disk,
+        });
+    }
+    let referenced = events.iter().map(|ev| ev.machine);
+    let referenced = referenced.chain(instances.iter().map(|rec| rec.machine));
+    for machine in referenced.chain(usage.keys().copied()) {
+        machines.entry(machine).or_default();
+    }
+    machines
 }
 
 /// Records per validation/grouping shard. Fixed (independent of the thread
@@ -586,21 +553,33 @@ enum IndexPart {
     Instances(IntervalIndex),
     Jobs(IntervalIndex),
     Liveness(BTreeMap<MachineId, Vec<(Timestamp, bool)>>),
-    Util(BTreeMap<MachineId, UtilSamples>),
     Span(Option<TimeRange>),
 }
 
 impl TraceDataset {
     /// Builds the query indexes (interval stabbing, liveness, span) from the
-    /// validated tables. Called as the last step of
-    /// [`TraceDatasetBuilder::build`].
+    /// validated tables. Called as the last step of both constructors,
+    /// which establish the two facts the reads rely on (see
+    /// [`TraceDataset`]); debug builds check them here.
     ///
-    /// The four global index families are independent tasks, and the
-    /// per-machine interval indexes additionally fan out one task per
-    /// machine; every task reads the immutable tables and writes only its
-    /// own result, so the indexes are identical at any thread count.
+    /// The three global index families and the span are independent tasks,
+    /// and the per-machine interval indexes additionally fan out one task
+    /// per machine; every task reads the immutable tables and writes only
+    /// its own result, so the indexes are identical at any thread count.
     fn build_indexes(&mut self, threads: usize) {
-        let parts = batchlens_exec::run_indexed(threads, 5, |part| match part {
+        debug_assert!(
+            self.instances
+                .windows(2)
+                .all(|w| (w[0].job, w[0].task, w[0].seq) < (w[1].job, w[1].task, w[1].seq)),
+            "instances ascend by (job, task, seq)"
+        );
+        debug_assert!(
+            self.usage
+                .values()
+                .all(|[cpu, mem, disk]| cpu.times() == mem.times() && cpu.times() == disk.times()),
+            "a machine's three series share one grid"
+        );
+        let parts = batchlens_exec::run_indexed(threads, 4, |part| match part {
             0 => IndexPart::Instances(IntervalIndex::build(
                 self.instances
                     .iter()
@@ -625,34 +604,6 @@ impl TraceDataset {
                     }
                 }
                 IndexPart::Liveness(liveness)
-            }
-            3 => {
-                // Combined utilization samples: the three per-metric series
-                // of one machine share a grid (built from the same usage
-                // rows), so zipping them once here gives every
-                // sample-and-hold consumer a single-search answer.
-                IndexPart::Util(
-                    self.usage
-                        .iter()
-                        .map(|(&machine, series)| {
-                            let [cpu, mem, disk] = series;
-                            let triples = cpu
-                                .values()
-                                .iter()
-                                .zip(mem.values())
-                                .zip(disk.values())
-                                .map(|((&c, &m), &d)| UtilizationTriple::clamped(c, m, d))
-                                .collect();
-                            (
-                                machine,
-                                UtilSamples {
-                                    times: cpu.times().to_vec(),
-                                    triples,
-                                },
-                            )
-                        })
-                        .collect(),
-                )
             }
             _ => {
                 // Union span of instance windows and usage series.
@@ -681,7 +632,6 @@ impl TraceDataset {
                 IndexPart::Instances(ix) => self.instance_index = ix,
                 IndexPart::Jobs(ix) => self.job_intervals = ix,
                 IndexPart::Liveness(l) => self.liveness = l,
-                IndexPart::Util(u) => self.util_index = u,
                 IndexPart::Span(s) => self.cached_span = s,
             }
         }
@@ -859,21 +809,23 @@ impl TraceDataset {
     }
 
     /// The body of this dataset's [`DatasetQuery::frame`]: one ordered
-    /// pass over the machine table that walks the liveness and
-    /// utilization indexes in step with it (all three ascend by machine
-    /// id), instead of a map search in each per machine.
+    /// pass over the machine table that walks the liveness checkpoints and
+    /// the usage series in step with it (all three ascend by machine id),
+    /// instead of a map search in each per machine. A machine's utilization
+    /// is read from its three series at the index one guessed search finds
+    /// on the CPU grid.
     pub(crate) fn capture_frame(&self, at: Timestamp) -> QueryFrame {
         let machines: Vec<MachineId> = self.machines.keys().copied().collect();
         let mut alive = Vec::with_capacity(machines.len());
         let mut utils = Vec::with_capacity(machines.len());
         let mut liveness = self.liveness.iter().peekable();
-        let mut util_index = self.util_index.iter().peekable();
+        let mut usage = self.usage.iter().peekable();
         for &machine in &machines {
             alive.push(
                 seek_machine(&mut liveness, machine)
                     .is_none_or(|checkpoints| alive_at_checkpoints(checkpoints, at)),
             );
-            utils.push(seek_machine(&mut util_index, machine).and_then(|u| u.at_or_before(at)));
+            utils.push(seek_machine(&mut usage, machine).and_then(|s| util_at_or_before(s, at)));
         }
         QueryFrame::new(
             at,
@@ -984,23 +936,27 @@ impl<'a> TaskView<'a> {
         &self.ds.tasks[&(self.job, self.id)]
     }
 
-    /// Iterates over the task's instances in sequence order.
+    /// The task's run of the instance table, which ascends by `(job, task,
+    /// seq)`: two binary searches, no per-task list.
+    fn instance_run(&self) -> &'a [BatchInstanceRecord] {
+        let key = (self.job, self.id);
+        let all = self.ds.instances.as_slice();
+        let lo = all.partition_point(|r| (r.job, r.task) < key);
+        let hi = lo + all[lo..].partition_point(|r| (r.job, r.task) <= key);
+        &all[lo..hi]
+    }
+
+    /// Iterates over the task's instances in sequence order — its run of
+    /// the `(job, task, seq)`-sorted instance table.
     pub fn instances(&self) -> impl Iterator<Item = InstanceRef<'a>> + 'a {
-        let ds = self.ds;
-        ds.task_instances
-            .get(&(self.job, self.id))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.instance_run()
             .iter()
-            .map(move |&idx| ds.instance_by_idx(idx))
+            .map(|record| InstanceRef { record })
     }
 
     /// Number of instance records attached to this task.
     pub fn instance_count(&self) -> usize {
-        self.ds
-            .task_instances
-            .get(&(self.job, self.id))
-            .map_or(0, Vec::len)
+        self.instance_run().len()
     }
 
     /// The distinct machines executing this task.
@@ -1094,10 +1050,11 @@ impl<'a> MachineView<'a> {
     }
 
     /// The machine's utilization triple at `t` (sample-and-hold), or `None`
-    /// before its first sample. One lookup + one guessed search over the
-    /// combined utilization samples (the three metrics share a grid).
+    /// before its first sample. One lookup and one guessed search on the
+    /// CPU series' grid, which the memory and disk series share; the three
+    /// values at that index are clamped into a triple.
     pub fn util_at(&self, t: Timestamp) -> Option<UtilizationTriple> {
-        self.ds.util_index.get(&self.id)?.at_or_before(t)
+        util_at_or_before(self.ds.usage.get(&self.id)?, t)
     }
 
     /// Whether the machine is alive at `t` according to machine events.
