@@ -203,11 +203,13 @@ impl TimeSeries {
     }
 
     /// The closed span `[first, last]` as a half-open range `[first, last+1)`,
-    /// or `None` when empty.
+    /// or `None` when empty. The end saturates: a series whose last sample
+    /// is at `i64::MAX` spans `[first, i64::MAX)`, since no half-open range
+    /// can reach past the last representable instant.
     pub fn span(&self) -> Option<TimeRange> {
         let (first, _) = self.first()?;
         let (last, _) = self.last()?;
-        TimeRange::new(first, last + TimeDelta::seconds(1)).ok()
+        TimeRange::new(first, Timestamp::new(last.seconds().saturating_add(1))).ok()
     }
 
     /// Exact-match lookup.

@@ -1574,6 +1574,34 @@ mod tests {
     }
 
     #[test]
+    fn usage_at_the_last_instant_builds_and_round_trips() {
+        let _guard = batchlens_fault::test_guard();
+        let mut b = TraceDatasetBuilder::new();
+        for (t, cpu) in [(0, 0.25), (i64::MAX, 0.75)] {
+            b.push_usage(ServerUsageRecord {
+                time: Timestamp::new(t),
+                machine: MachineId::new(1),
+                util: UtilizationTriple::clamped(cpu, cpu / 2.0, cpu / 4.0),
+            });
+        }
+        let ds = b.build().unwrap();
+        let end = Timestamp::new(i64::MAX);
+        assert_eq!(
+            ds.span(),
+            Some(crate::TimeRange::new(Timestamp::ZERO, end).unwrap())
+        );
+        assert_eq!(
+            ds.util_at(MachineId::new(1), end),
+            Some(UtilizationTriple::clamped(0.75, 0.375, 0.1875))
+        );
+
+        let dir = temp_dir("last-instant");
+        dump_dataset(&dir, &ds).unwrap();
+        assert_eq!(TraceDataset::open(&dir).unwrap(), ds);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn buffered_open_equals_mapped_open() {
         let _guard = batchlens_fault::test_guard();
         let dir = temp_dir("buffered");
