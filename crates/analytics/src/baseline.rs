@@ -16,21 +16,7 @@ use batchlens_trace::{
 /// Flattens a dataset's usage series back into raw `server_usage` rows —
 /// the input shape the baseline works with.
 pub fn export_usage_records(ds: &TraceDataset) -> Vec<ServerUsageRecord> {
-    let mut out = Vec::new();
-    for machine in ds.machines() {
-        let Some(cpu) = machine.usage(batchlens_trace::Metric::Cpu) else {
-            continue;
-        };
-        for (t, _) in cpu.iter() {
-            if let Some(util) = machine.util_at(t) {
-                out.push(ServerUsageRecord {
-                    time: t,
-                    machine: machine.id(),
-                    util,
-                });
-            }
-        }
-    }
+    let mut out = ds.usage_records();
     // Raw dumps are time-ordered, machine-interleaved.
     out.sort_by_key(|r| (r.time, r.machine));
     out

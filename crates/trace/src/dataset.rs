@@ -808,6 +808,24 @@ impl TraceDataset {
         self.cached_span
     }
 
+    /// The `server_usage` rows the usage series hold, in `(machine, time)`
+    /// order — the order the segment store writes. A machine's three series
+    /// share one grid, so its row `i` is sample `i` of each, clamped as the
+    /// builder clamps a row.
+    pub fn usage_records(&self) -> Vec<ServerUsageRecord> {
+        self.usage
+            .iter()
+            .flat_map(|(&machine, series)| {
+                let times = series[0].times();
+                (0..times.len()).map(move |i| ServerUsageRecord {
+                    time: times[i],
+                    machine,
+                    util: triple_at(series, i),
+                })
+            })
+            .collect()
+    }
+
     /// The body of this dataset's [`DatasetQuery::frame`]: one ordered
     /// pass over the machine table that walks the liveness checkpoints and
     /// the usage series in step with it (all three ascend by machine id),

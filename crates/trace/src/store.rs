@@ -60,8 +60,8 @@ use std::path::{Path, PathBuf};
 use crate::wal::{crc32, put_f64, put_i64, put_u32, put_u64, Cursor};
 use crate::{
     BatchInstanceRecord, BatchTaskRecord, JobId, MachineEvent, MachineEventRecord, MachineId,
-    MachineInfo, Metric, ServerUsageRecord, TaskId, TaskStatus, TimeSeries, Timestamp,
-    TraceDataset, TraceError, Utilization, UtilizationTriple,
+    MachineInfo, ServerUsageRecord, TaskId, TaskStatus, TimeSeries, Timestamp, TraceDataset,
+    TraceError, Utilization, UtilizationTriple,
 };
 
 /// Failpoint site evaluated before every segment-file write
@@ -1171,39 +1171,6 @@ impl SegmentStore {
     }
 }
 
-/// Reconstructs the flat `server_usage` rows from a dataset's per-machine
-/// series (they share one sample grid per machine, so the zip is exact),
-/// in `(machine, time)` order — the store's usage sort order.
-fn dataset_usage_rows(ds: &TraceDataset) -> Vec<ServerUsageRecord> {
-    let mut rows = Vec::new();
-    for machine in ds.machines() {
-        let (Some(cpu), Some(mem), Some(disk)) = (
-            machine.usage(Metric::Cpu),
-            machine.usage(Metric::Memory),
-            machine.usage(Metric::Disk),
-        ) else {
-            continue;
-        };
-        for i in 0..cpu.len() {
-            rows.push(ServerUsageRecord {
-                time: cpu.times()[i],
-                machine: machine.id(),
-                util: UtilizationTriple::clamped(
-                    cpu.values()[i],
-                    mem.values()[i],
-                    disk.values()[i],
-                ),
-            });
-        }
-    }
-    // `ds.machines()` iterates in id order and each series is
-    // time-ascending, so the rows already come out machine-major sorted.
-    debug_assert!(rows
-        .windows(2)
-        .all(|w| (w[0].machine, w[0].time) <= (w[1].machine, w[1].time)));
-    rows
-}
-
 /// Dumps a built dataset into `dir` as columnar segments — the
 /// segment-backed payload `batchlens::durability` adds next to the
 /// canonical CSVs. Re-opening via [`TraceDataset::open`] rebuilds the
@@ -1220,7 +1187,7 @@ pub fn dump_dataset_with(
 ) -> Result<StoreReport, TraceError> {
     let mut w = SegmentWriter::with_config(dir, cfg)?;
     let tasks: Vec<BatchTaskRecord> = ds.task_records().copied().collect();
-    let usage = dataset_usage_rows(ds);
+    let usage = ds.usage_records();
     let machines: Vec<(MachineId, MachineInfo)> =
         ds.machines().map(|m| (m.id(), m.info())).collect();
     w.write_tasks(&tasks)?;

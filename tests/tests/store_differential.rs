@@ -136,18 +136,52 @@ fn build_dataset(
             mem_max: spec.cpu * 0.6,
         });
     }
-    // The builder wants per-machine strictly ascending sample times: sort
-    // the soup and drop duplicate (machine, time) cells.
-    let mut usage = usage.to_vec();
-    usage.sort_by_key(|r| (r.machine, r.time));
-    usage.dedup_by_key(|r| (r.machine, r.time));
-    for r in &usage {
-        b.push_usage(*r);
+    for r in fed_usage_rows(usage) {
+        b.push_usage(r);
     }
     for r in events {
         b.push_machine_event(*r);
     }
     b.build().expect("soup datasets are valid by construction")
+}
+
+/// The usage rows [`build_dataset`] feeds the builder, which wants
+/// per-machine strictly ascending sample times: the soup sorted by
+/// `(machine, time)`, duplicate cells dropped.
+fn fed_usage_rows(usage: &[ServerUsageRecord]) -> Vec<ServerUsageRecord> {
+    let mut usage = usage.to_vec();
+    usage.sort_by_key(|r| (r.machine, r.time));
+    usage.dedup_by_key(|r| (r.machine, r.time));
+    usage
+}
+
+/// Asserts that a dataset's derived tables equal a scan of its flat ones:
+/// every task's instances are the `(job, task)` filter of the instance
+/// table in `seq` order, and the flattened usage rows are the rows fed.
+fn assert_tables_match_scans(
+    ds: &TraceDataset,
+    fed_usage: &[ServerUsageRecord],
+) -> Result<(), TestCaseError> {
+    for job in ds.jobs() {
+        for task in job.tasks() {
+            let mut scanned: Vec<&BatchInstanceRecord> = ds
+                .instance_records()
+                .iter()
+                .filter(|r| (r.job, r.task) == (task.job(), task.id()))
+                .collect();
+            scanned.sort_by_key(|r| r.seq);
+            let listed: Vec<&BatchInstanceRecord> = task.instances().map(|i| i.record).collect();
+            prop_assert_eq!(
+                &listed,
+                &scanned,
+                "instances of {:?}",
+                (task.job(), task.id())
+            );
+            prop_assert_eq!(task.instance_count(), scanned.len());
+        }
+    }
+    prop_assert_eq!(ds.usage_records(), fed_usage, "usage_records");
+    Ok(())
 }
 
 /// A process-unique scratch directory (no tempfile dependency).
@@ -224,7 +258,9 @@ proptest! {
     /// bit, at segment sizes from "everything splits" to "one segment per
     /// family", at every construction concurrency, mapped and buffered
     /// alike — and the reopened dataset builds the same hierarchy snapshots
-    /// and co-allocation indexes as the original.
+    /// and co-allocation indexes as the original. On both datasets every
+    /// task's instances equal a scan of the instance table, and the
+    /// flattened usage rows equal the rows fed to the builder.
     #[test]
     fn segment_roundtrip_is_bit_identical(
         instances in prop::collection::vec(instance_strategy(), 1..48),
@@ -245,6 +281,11 @@ proptest! {
         let reopened = TraceDataset::open_with_threads(&dir, threads).expect("open");
         prop_assert_eq!(&reopened, &ds, "reopened dataset diverged");
         assert_query_surface_identical(&reopened, &ds)?;
+
+        // Task lists and flattened usage rows against scans, on both.
+        let fed_usage = fed_usage_rows(&usage);
+        assert_tables_match_scans(&ds, &fed_usage)?;
+        assert_tables_match_scans(&reopened, &fed_usage)?;
 
         // Buffered (pread-fallback) backend: same bytes, same dataset.
         let buffered = TraceDataset::open_buffered(&dir).expect("open buffered");
