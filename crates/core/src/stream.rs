@@ -2307,6 +2307,46 @@ mod tests {
     }
 
     #[test]
+    fn records_at_the_ends_of_time_are_kept_or_dropped_not_wrapped() {
+        // Window eviction (`newest − horizon`), the rolling index's eviction
+        // (`frontier − horizon`) and the lateness check (`last − time`) are
+        // timestamp arithmetic, which saturates at the ends of i64.
+        let m = StreamMonitor::new(StreamConfig::default()).unwrap();
+        let (first, last) = (Timestamp::new(i64::MIN), Timestamp::new(i64::MAX));
+        m.ingest(rec(1, i64::MIN, 0.3, 0.3, 0.3));
+        assert_eq!(m.ingested(), 1);
+        assert!(
+            m.live_view().util_at(MachineId::new(1), first).is_some(),
+            "a sample at i64::MIN outlives its own insert"
+        );
+
+        m.ingest_instance(BatchInstanceRecord {
+            start_time: first,
+            end_time: first + TimeDelta::MINUTE,
+            job: JobId::new(1),
+            task: TaskId::new(1),
+            seq: 0,
+            total: 1,
+            machine: MachineId::new(1),
+            status: batchlens_trace::InstanceStatus::Terminated,
+            cpu_avg: 0.4,
+            cpu_max: 0.8,
+            mem_avg: 0.3,
+            mem_max: 0.5,
+        });
+        assert_eq!(m.live_view().running_instance_count_at(first), 1);
+
+        // i64::MIN + 5 after i64::MAX on one machine is ~2^64 s late, far
+        // past the tolerance: a stale drop, not a late acceptance.
+        m.ingest(rec(2, i64::MAX, 0.3, 0.3, 0.3));
+        m.ingest(rec(2, i64::MIN + 5, 0.3, 0.3, 0.3));
+        assert_eq!(m.stale_dropped(), 1);
+        assert_eq!(m.late_accepted(), 0);
+        assert_eq!(m.ingested(), 2);
+        assert!(m.live_view().util_at(MachineId::new(2), last).is_some());
+    }
+
+    #[test]
     fn ooo_tolerance_boundary_is_inclusive() {
         // The acceptance rule is "at most `ooo_tolerance` late": a record
         // exactly at the boundary is accepted, one second beyond is not.

@@ -12,6 +12,11 @@ use crate::TraceError;
 /// timestamps such as `47400`, `46200` and `43800` directly in this unit.
 /// Negative values are permitted (records occasionally refer to events before
 /// the window opens).
+///
+/// Arithmetic saturates: `Timestamp ± TimeDelta`, `Timestamp − Timestamp`
+/// and `TimeDelta ± TimeDelta` clamp at the ends of `i64` instead of
+/// overflowing, so a sample at `i64::MIN` minus a horizon is `i64::MIN`,
+/// not a debug-build panic or a wrapped instant at the far end of time.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -90,36 +95,39 @@ impl fmt::Display for Timestamp {
 impl Add<TimeDelta> for Timestamp {
     type Output = Timestamp;
 
+    /// `self + rhs`, saturating at the ends of `i64`.
     fn add(self, rhs: TimeDelta) -> Timestamp {
-        Timestamp(self.0 + rhs.0)
+        Timestamp(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<TimeDelta> for Timestamp {
     fn add_assign(&mut self, rhs: TimeDelta) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
 impl Sub<TimeDelta> for Timestamp {
     type Output = Timestamp;
 
+    /// `self - rhs`, saturating at the ends of `i64`.
     fn sub(self, rhs: TimeDelta) -> Timestamp {
-        Timestamp(self.0 - rhs.0)
+        Timestamp(self.0.saturating_sub(rhs.0))
     }
 }
 
 impl SubAssign<TimeDelta> for Timestamp {
     fn sub_assign(&mut self, rhs: TimeDelta) {
-        self.0 -= rhs.0;
+        *self = *self - rhs;
     }
 }
 
 impl Sub for Timestamp {
     type Output = TimeDelta;
 
+    /// The duration from `rhs` to `self`, saturating at the ends of `i64`.
     fn sub(self, rhs: Timestamp) -> TimeDelta {
-        TimeDelta(self.0 - rhs.0)
+        TimeDelta(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -187,16 +195,18 @@ impl fmt::Display for TimeDelta {
 impl Add for TimeDelta {
     type Output = TimeDelta;
 
+    /// `self + rhs`, saturating at the ends of `i64`.
     fn add(self, rhs: TimeDelta) -> TimeDelta {
-        TimeDelta(self.0 + rhs.0)
+        TimeDelta(self.0.saturating_add(rhs.0))
     }
 }
 
 impl Sub for TimeDelta {
     type Output = TimeDelta;
 
+    /// `self - rhs`, saturating at the ends of `i64`.
     fn sub(self, rhs: TimeDelta) -> TimeDelta {
-        TimeDelta(self.0 - rhs.0)
+        TimeDelta(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -335,6 +345,25 @@ mod tests {
         assert_eq!((t + TimeDelta::seconds(60)).seconds(), 360);
         assert_eq!((t - TimeDelta::seconds(500)).seconds(), -200);
         assert_eq!(Timestamp::new(900) - t, TimeDelta::seconds(600));
+    }
+
+    #[test]
+    fn arithmetic_saturates_at_the_ends_of_time() {
+        let (min, max) = (Timestamp::new(i64::MIN), Timestamp::new(i64::MAX));
+        assert_eq!(min - TimeDelta::minutes(30), min);
+        assert_eq!(max + TimeDelta::seconds(1), max);
+        assert_eq!(max - min, TimeDelta::seconds(i64::MAX));
+        assert_eq!(min - max, TimeDelta::seconds(i64::MIN));
+        let mut t = max;
+        t += TimeDelta::DAY;
+        assert_eq!(t, max);
+        t = min;
+        t -= TimeDelta::DAY;
+        assert_eq!(t, min);
+        let huge = TimeDelta::seconds(i64::MAX);
+        assert_eq!(huge + TimeDelta::seconds(1), huge);
+        let most_negative = TimeDelta::seconds(i64::MIN);
+        assert_eq!(most_negative - TimeDelta::seconds(1), most_negative);
     }
 
     #[test]
