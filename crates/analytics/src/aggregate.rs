@@ -2,7 +2,7 @@
 //! views) and the cluster-wide timeline (the brushable overview).
 
 use batchlens_trace::{
-    JobId, MachineId, Metric, TaskId, TimeRange, TimeSeries, Timestamp, TraceDataset,
+    JobId, MachineId, Metric, SeriesView, TaskId, TimeRange, TimeSeries, Timestamp, TraceDataset,
 };
 use serde::{Deserialize, Serialize};
 
@@ -71,7 +71,7 @@ impl JobMetricLines {
                     task: task.id(),
                     start,
                     end,
-                    series: series.slice(window),
+                    series: series.slice(window).to_owned(),
                 });
             }
         }
@@ -138,7 +138,7 @@ impl ClusterTimeline {
     /// **bit-identical at every thread count**, including `threads = 1`.
     pub fn build_with_threads(ds: &TraceDataset, threads: usize) -> ClusterTimeline {
         let threads = batchlens_exec::resolve_threads(threads);
-        let per_metric: Vec<Vec<&TimeSeries>> = Metric::ALL
+        let per_metric: Vec<Vec<SeriesView<'_>>> = Metric::ALL
             .iter()
             .map(|&metric| ds.machines().filter_map(|m| m.usage(metric)).collect())
             .collect();

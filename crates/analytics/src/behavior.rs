@@ -43,10 +43,10 @@ impl BehaviorVector {
     /// no usage data there.
     pub fn of(ds: &TraceDataset, machine: MachineId, window: &TimeRange) -> Option<BehaviorVector> {
         let mv = ds.machine(machine)?;
-        let cpu_series = mv.usage(Metric::Cpu)?;
-        let cpu = cpu_series.stats_in(window)?;
-        let mem = mv.usage(Metric::Memory)?.stats_in(window)?;
-        let disk = mv.usage(Metric::Disk)?.stats_in(window)?;
+        let cpu_window = mv.usage(Metric::Cpu)?.slice(window);
+        let cpu = cpu_window.stats()?;
+        let mem = mv.usage(Metric::Memory)?.slice(window).stats()?;
+        let disk = mv.usage(Metric::Disk)?.slice(window).stats()?;
         Some(BehaviorVector {
             machine,
             cpu_mean: cpu.mean,
@@ -54,7 +54,7 @@ impl BehaviorVector {
             mem_mean: mem.mean,
             disk_mean: disk.mean,
             peak: cpu.max.max(mem.max).max(disk.max),
-            anomaly_rate: anomaly_sample_fraction(cpu_series, window),
+            anomaly_rate: anomaly_sample_fraction(cpu_window),
         })
     }
 
@@ -110,10 +110,9 @@ impl BehaviorClusters {
     }
 }
 
-/// Fraction of `series`' samples inside `window` that fall within an
-/// [`Ensemble::standard`] anomaly span.
-fn anomaly_sample_fraction(series: &batchlens_trace::TimeSeries, window: &TimeRange) -> f64 {
-    let view = series.slice_view(window);
+/// Fraction of `view`'s samples (one machine's CPU over a window) that
+/// [`Ensemble::standard`]'s per-sample quorum vote flags.
+fn anomaly_sample_fraction(view: batchlens_trace::SeriesView<'_>) -> f64 {
     if view.is_empty() {
         return 0.0;
     }

@@ -55,12 +55,9 @@ pub fn detect_all_machines(
         let by_metric = std::array::from_fn(|k| {
             let metric = Metric::ALL[k];
             match mv.usage(metric) {
-                // Windowed detection borrows the samples (`slice_view`) —
+                // Detection borrows the dataset's samples, windowed or not —
                 // no per-machine-per-metric sub-series clone.
-                Some(series) => match window {
-                    Some(w) => detector.detect_view(series.slice_view(w)),
-                    None => detector.detect(series),
-                },
+                Some(series) => detector.detect_view(window.map_or(series, |w| series.slice(w))),
                 None => Vec::new(),
             }
         });
@@ -87,10 +84,7 @@ pub fn detect_metric_all_machines(
             .machine(machine)
             .and_then(|m| m.usage(metric))
             .expect("machine filtered on series presence");
-        let spans = match window {
-            Some(w) => detector.detect_view(series.slice_view(w)),
-            None => detector.detect(series),
-        };
+        let spans = detector.detect_view(window.map_or(series, |w| series.slice(w)));
         (machine, spans)
     })
 }
@@ -114,7 +108,7 @@ mod tests {
         // Spot-check against a direct per-machine call.
         let m0 = &serial[0];
         let mv = ds.machine(m0.machine).unwrap();
-        let direct = ensemble.detect(mv.usage(Metric::Cpu).unwrap());
+        let direct = ensemble.detect_view(mv.usage(Metric::Cpu).unwrap());
         assert_eq!(m0.metric(Metric::Cpu), direct.as_slice());
     }
 
@@ -131,7 +125,7 @@ mod tests {
         let windowed = detect_metric_all_machines(&ds, &ensemble, Metric::Cpu, Some(&half), 2);
         for (machine, spans) in &windowed {
             let mv = ds.machine(*machine).unwrap();
-            let direct = ensemble.detect(&mv.usage(Metric::Cpu).unwrap().slice(&half));
+            let direct = ensemble.detect(&mv.usage(Metric::Cpu).unwrap().slice(&half).to_owned());
             assert_eq!(spans, &direct);
         }
     }

@@ -5,7 +5,7 @@
 //! when the job execution is over, followed by a slow drop to the normal
 //! level.")
 
-use batchlens_trace::{TimeDelta, TimeRange, TimeSeries, Timestamp};
+use batchlens_trace::{SeriesView, TimeDelta, TimeRange, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use super::{AnomalyKind, AnomalySpan, DetectorState, Step};
@@ -65,7 +65,11 @@ impl SpikeDetector {
     /// Returns `None` when any part of the signature is missing: no
     /// sufficient rise, peak not aligned with the job end, or no post-peak
     /// decay visible in the data.
-    pub fn match_spike(&self, series: &TimeSeries, job_window: &TimeRange) -> Option<SpikeMatch> {
+    pub fn match_spike(
+        &self,
+        series: SeriesView<'_>,
+        job_window: &TimeRange,
+    ) -> Option<SpikeMatch> {
         if series.is_empty() || job_window.is_empty() {
             return None;
         }
@@ -248,6 +252,7 @@ impl DetectorState for SpikeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchlens_trace::TimeSeries;
 
     /// Synthesizes a series with an end-of-job spike: baseline, quadratic
     /// climb during the job, exponential decay after.
@@ -276,7 +281,7 @@ mod tests {
     #[test]
     fn matches_textbook_spike() {
         let (s, w) = spike_series(0.2, 0.85);
-        let m = SpikeDetector::new().match_spike(&s, &w).unwrap();
+        let m = SpikeDetector::new().match_spike(s.view(), &w).unwrap();
         assert!(m.rise > 0.5);
         // Peak within a sample of the job end.
         assert!(
@@ -293,7 +298,7 @@ mod tests {
     fn rejects_flat_series() {
         let s: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.3)).collect();
         let w = TimeRange::new(Timestamp::new(1800), Timestamp::new(4200)).unwrap();
-        assert!(SpikeDetector::new().match_spike(&s, &w).is_none());
+        assert!(SpikeDetector::new().match_spike(s.view(), &w).is_none());
     }
 
     #[test]
@@ -306,7 +311,7 @@ mod tests {
             s.push(Timestamp::new(t), v).unwrap();
         }
         let w = TimeRange::new(Timestamp::new(1800), Timestamp::new(4200)).unwrap();
-        assert!(SpikeDetector::new().match_spike(&s, &w).is_none());
+        assert!(SpikeDetector::new().match_spike(s.view(), &w).is_none());
     }
 
     #[test]
@@ -323,16 +328,16 @@ mod tests {
             s.push(Timestamp::new(t), v).unwrap();
         }
         let w = TimeRange::new(Timestamp::new(1800), Timestamp::new(4200)).unwrap();
-        assert!(SpikeDetector::new().match_spike(&s, &w).is_none());
+        assert!(SpikeDetector::new().match_spike(s.view(), &w).is_none());
     }
 
     #[test]
     fn empty_inputs() {
         let d = SpikeDetector::new();
         let w = TimeRange::new(Timestamp::new(0), Timestamp::new(100)).unwrap();
-        assert!(d.match_spike(&TimeSeries::new(), &w).is_none());
+        assert!(d.match_spike(TimeSeries::new().view(), &w).is_none());
         let (s, _) = spike_series(0.2, 0.9);
         let empty = TimeRange::new(Timestamp::new(50), Timestamp::new(50)).unwrap();
-        assert!(d.match_spike(&s, &empty).is_none());
+        assert!(d.match_spike(s.view(), &empty).is_none());
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use batchlens_trace::{TimeDelta, TimeSeries, Timestamp};
+use batchlens_trace::{SeriesView, TimeDelta, Timestamp};
 use serde::{Deserialize, Serialize};
 
 use super::{AnomalyKind, AnomalySpan, PairedDetectorState, SpanBuilder, Step};
@@ -60,8 +60,9 @@ impl ThrashingDetector {
     /// Scans paired CPU/memory series (same machine) for thrashing spans —
     /// a thin wrapper that aligns memory onto the CPU grid with
     /// sample-and-hold (two-cursor merge, O(n + m)) and feeds the pairs
-    /// through [`ThrashingDetector::state`].
-    pub fn detect(&self, cpu: &TimeSeries, mem: &TimeSeries) -> Vec<AnomalySpan> {
+    /// through [`ThrashingDetector::state`]. Both are borrowed views, such
+    /// as a dataset machine's usage ([`batchlens_trace::MachineView::usage`]).
+    pub fn detect(&self, cpu: SeriesView<'_>, mem: SeriesView<'_>) -> Vec<AnomalySpan> {
         if cpu.is_empty() || mem.is_empty() {
             return Vec::new();
         }
@@ -136,7 +137,7 @@ impl PairedDetectorState for ThrashingState {
 /// ("a tremendous amount of nodes are running at high memory but low CPU").
 pub fn thrashing_machine_fraction<'a, I>(detector: &ThrashingDetector, pairs: I) -> f64
 where
-    I: IntoIterator<Item = (&'a TimeSeries, &'a TimeSeries)>,
+    I: IntoIterator<Item = (SeriesView<'a>, SeriesView<'a>)>,
 {
     let mut total = 0usize;
     let mut hit = 0usize;
@@ -156,6 +157,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchlens_trace::TimeSeries;
 
     /// CPU healthy then collapsing at `collapse_at`; memory pinned from
     /// `collapse_at` on.
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn detects_collapse() {
         let (cpu, mem) = thrash_pair(3600);
-        let spans = ThrashingDetector::new().detect(&cpu, &mem);
+        let spans = ThrashingDetector::new().detect(cpu.view(), mem.view());
         assert_eq!(spans.len(), 1, "spans: {spans:?}");
         let s = spans[0];
         assert_eq!(s.kind, AnomalyKind::Thrashing);
@@ -212,7 +214,7 @@ mod tests {
             mem.push(Timestamp::new(t), if t < 1200 { 0.4 } else { 0.9 })
                 .unwrap();
         }
-        let spans = ThrashingDetector::new().detect(&cpu, &mem);
+        let spans = ThrashingDetector::new().detect(cpu.view(), mem.view());
         assert!(!spans.is_empty());
     }
 
@@ -221,7 +223,9 @@ mod tests {
         // Both CPU and memory high: busy, not thrashing.
         let cpu: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.85)).collect();
         let mem: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.9)).collect();
-        assert!(ThrashingDetector::new().detect(&cpu, &mem).is_empty());
+        assert!(ThrashingDetector::new()
+            .detect(cpu.view(), mem.view())
+            .is_empty());
     }
 
     #[test]
@@ -230,14 +234,18 @@ mod tests {
         // thrashing (just cached/committed memory on an idle box).
         let cpu: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.1)).collect();
         let mem: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.8)).collect();
-        assert!(ThrashingDetector::new().detect(&cpu, &mem).is_empty());
+        assert!(ThrashingDetector::new()
+            .detect(cpu.view(), mem.view())
+            .is_empty());
     }
 
     #[test]
     fn gap_alone_without_pinned_memory_is_ignored() {
         let cpu: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.05)).collect();
         let mem: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.45)).collect();
-        assert!(ThrashingDetector::new().detect(&cpu, &mem).is_empty());
+        assert!(ThrashingDetector::new()
+            .detect(cpu.view(), mem.view())
+            .is_empty());
     }
 
     #[test]
@@ -245,7 +253,10 @@ mod tests {
         let (c1, m1) = thrash_pair(3600);
         let c2: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.5)).collect();
         let m2: TimeSeries = (0..100).map(|i| (Timestamp::new(i * 60), 0.4)).collect();
-        let f = thrashing_machine_fraction(&ThrashingDetector::new(), vec![(&c1, &m1), (&c2, &m2)]);
+        let f = thrashing_machine_fraction(
+            &ThrashingDetector::new(),
+            vec![(c1.view(), m1.view()), (c2.view(), m2.view())],
+        );
         assert!((f - 0.5).abs() < 1e-12);
         assert_eq!(
             thrashing_machine_fraction(&ThrashingDetector::new(), Vec::new()),
@@ -256,7 +267,9 @@ mod tests {
     #[test]
     fn empty_series_are_clean() {
         let d = ThrashingDetector::new();
-        assert!(d.detect(&TimeSeries::new(), &TimeSeries::new()).is_empty());
+        assert!(d
+            .detect(TimeSeries::new().view(), TimeSeries::new().view())
+            .is_empty());
     }
 
     #[test]
@@ -274,7 +287,7 @@ mod tests {
             let m = if t < 3600 { 0.4 } else { 0.9 };
             mem.push(Timestamp::new(t), m).unwrap();
         }
-        let spans = ThrashingDetector::new().detect(&cpu, &mem);
+        let spans = ThrashingDetector::new().detect(cpu.view(), mem.view());
         assert!(!spans.is_empty());
     }
 }

@@ -127,7 +127,7 @@ impl RootCauseAnalyzer {
                         thrash_hits.push((m, span));
                     }
                 }
-                for span in self.saturation.detect(cpu) {
+                for span in self.saturation.detect_view(cpu) {
                     if span.range.overlaps(&window) {
                         saturation_hits.push((m, span));
                     }

@@ -180,7 +180,7 @@ pub fn check_with_threads(ds: &TraceDataset, policy: &SlaPolicy, threads: usize)
 /// filter, so SLA saturation checking and threshold anomaly detection can
 /// never disagree about what "over threshold" means.
 fn over_threshold_runs(
-    series: &batchlens_trace::TimeSeries,
+    series: batchlens_trace::SeriesView<'_>,
     level: f64,
     min_duration: TimeDelta,
 ) -> Vec<TimeRange> {
@@ -189,7 +189,7 @@ fn over_threshold_runs(
         high: level,
         min_samples: 1,
     }
-    .detect(series)
+    .detect_view(series)
     .into_iter()
     .map(|span| span.range)
     .filter(|range| range.duration() >= min_duration)
@@ -290,13 +290,13 @@ mod tests {
                 )
             })
             .collect();
-        assert!(over_threshold_runs(&s, 0.95, TimeDelta::minutes(10)).is_empty());
+        assert!(over_threshold_runs(s.view(), 0.95, TimeDelta::minutes(10)).is_empty());
         // A long run does violate.
         let s2: TimeSeries = (0..40)
             .map(|i| (Timestamp::new(i * 60), if i >= 5 { 0.99 } else { 0.3 }))
             .collect();
         assert_eq!(
-            over_threshold_runs(&s2, 0.95, TimeDelta::minutes(10)).len(),
+            over_threshold_runs(s2.view(), 0.95, TimeDelta::minutes(10)).len(),
             1
         );
     }

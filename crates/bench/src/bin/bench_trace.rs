@@ -29,8 +29,8 @@ use std::time::Instant;
 use batchlens::stream::{StreamConfig, StreamMonitor};
 use batchlens::trace::wal::{WalConfig, WalWriter};
 use batchlens::trace::{
-    csv, naive, DatasetQuery, JobId, MachineId, Metric, QueryFrame, ServerUsageRecord, TimeDelta,
-    TimeSeries, Timestamp, TraceDataset, UtilizationTriple,
+    csv, naive, DatasetQuery, JobId, MachineId, Metric, QueryFrame, SeriesView, ServerUsageRecord,
+    TimeDelta, TimeSeries, Timestamp, TraceDataset, UtilizationTriple,
 };
 use batchlens_bench::medium_dataset;
 use batchlens_sim::{SimConfig, Simulation};
@@ -185,8 +185,9 @@ fn synthetic_entries(entries: &mut Vec<Entry>) {
     for machines in [100usize, 1000] {
         let series: Vec<TimeSeries> = (0..machines).map(machine_series).collect();
         let reps = if machines >= 1000 { 3 } else { 8 };
-        let optimized = measure(reps, || TimeSeries::mean_of(series.iter()).len());
-        let naive_s = measure(2, || naive::mean_of(series.iter()).len());
+        let views = || series.iter().map(TimeSeries::view);
+        let optimized = measure(reps, || TimeSeries::mean_of(views()).len());
+        let naive_s = measure(2, || naive::mean_of(views()).len());
         entries.push(entry(format!("mean_of_{machines}x288"), naive_s, optimized));
     }
 
@@ -529,7 +530,7 @@ fn dataset_entries(tier: Tier, ds: &TraceDataset, entries: &mut Vec<Entry>) {
     entries.push(entry(format!("live_frame_{suffix}"), naive_s, optimized));
 
     // --- timeline aggregation over the real per-machine CPU series ---
-    let cpu_series: Vec<&TimeSeries> = machines
+    let cpu_series: Vec<SeriesView<'_>> = machines
         .iter()
         .filter_map(|m| m.usage(Metric::Cpu))
         .collect();

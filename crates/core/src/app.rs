@@ -364,7 +364,7 @@ impl BatchLens {
         let mut out = Vec::new();
         for metric in Metric::ALL {
             if let Some(series) = mv.usage(metric) {
-                for span in ensemble.detect(&series.slice(&window)) {
+                for span in ensemble.detect_view(series.slice(&window)) {
                     out.push((metric, span));
                 }
             }
@@ -373,7 +373,7 @@ impl BatchLens {
             for span in self
                 .analyzer
                 .thrashing
-                .detect(&cpu.slice(&window), &mem.slice(&window))
+                .detect(cpu.slice(&window), mem.slice(&window))
             {
                 out.push((Metric::Memory, span));
             }

@@ -90,7 +90,7 @@ impl Heatmap {
                 let bucket_range = TimeRange::new(t, t + self.bucket).expect("ordered");
                 let value = machine
                     .usage(metric)
-                    .and_then(|s| s.stats_in(&bucket_range))
+                    .and_then(|s| s.slice(&bucket_range).stats())
                     .map(|st| st.mean)
                     .or_else(|| machine.util_at(t).map(|u| u[metric].fraction()));
                 if let Some(v) = value {

@@ -755,8 +755,9 @@ mod tests {
             .unwrap();
         let m = ds.machine(MachineId::new(0)).unwrap();
         let cpu = m.usage(Metric::Cpu).unwrap();
-        let early = cpu.stats_in(&TimeRange::new(Timestamp::ZERO, Timestamp::new(3600)).unwrap());
-        let late = cpu.stats_in(&window);
+        let first_hour = TimeRange::new(Timestamp::ZERO, Timestamp::new(3600)).unwrap();
+        let early = cpu.slice(&first_hour).stats();
+        let late = cpu.slice(&window).stats();
         assert!(late.unwrap().mean > early.unwrap().mean + 0.3);
     }
 
@@ -804,13 +805,15 @@ mod tests {
         let cpu_late = m
             .usage(Metric::Cpu)
             .unwrap()
-            .stats_in(&win_late)
+            .slice(&win_late)
+            .stats()
             .unwrap()
             .mean;
         let mem_late = m
             .usage(Metric::Memory)
             .unwrap()
-            .stats_in(&win_late)
+            .slice(&win_late)
+            .stats()
             .unwrap()
             .mean;
         assert!(

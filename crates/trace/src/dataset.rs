@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::{
     alive_at_checkpoints, seek_machine, BatchInstanceRecord, BatchTaskRecord, DatasetQuery,
     InstanceId, IntervalIndex, JobId, MachineEvent, MachineEventRecord, MachineId, Metric,
-    QueryFrame, ServerUsageRecord, TaskId, TimeRange, TimeSeries, Timestamp, TraceError,
+    QueryFrame, SeriesView, ServerUsageRecord, TaskId, TimeRange, Timestamp, TraceError,
     UtilizationTriple,
 };
 
@@ -19,17 +19,15 @@ use crate::{
 /// * the **batch hierarchy** — jobs → tasks → instances, each instance pinned
 ///   to one machine,
 /// * the **machine table** — capacities and lifecycle events,
-/// * the **usage series** — one [`TimeSeries`] per machine per
-///   [`Metric`].
+/// * the **usage** — per machine, one time grid and a CPU, memory and disk
+///   value column on it, read per [`Metric`] as a borrowed
+///   [`SeriesView`] ([`MachineView::usage`]).
 ///
-/// It holds each fact once, and its reads rely on two facts both
-/// constructors establish:
-///
-/// * the instance table ascends by `(job, task, seq)`, so a task's
-///   instances are one run of it, found with two binary searches;
-/// * a machine's three usage series share one time grid (both are built
-///   from the same `server_usage` rows), so one search on the CPU grid
-///   indexes all three.
+/// It holds each fact once. A `server_usage` row is one instant and three
+/// values, so a machine's three metrics share one grid by construction and
+/// one search on it indexes all three. The instance table ascends by
+/// `(job, task, seq)`, which both constructors establish, so a task's
+/// instances are one run of it, found with two binary searches.
 ///
 /// All accessors are `O(log n)` or better thanks to the indexes built at
 /// construction time.
@@ -42,8 +40,8 @@ pub struct TraceDataset {
     machine_instances: BTreeMap<MachineId, Vec<usize>>,
     machines: BTreeMap<MachineId, MachineInfo>,
     machine_events: Vec<MachineEventRecord>,
-    /// machine → `[cpu, mem, disk]` series, all three on one time grid.
-    usage: BTreeMap<MachineId, [TimeSeries; 3]>,
+    /// machine → its usage grid and `[cpu, mem, disk]` columns.
+    usage: BTreeMap<MachineId, MachineUsage>,
     /// Interval index over every instance's execution window; payload ids
     /// are indices into `instances`.
     instance_index: IntervalIndex,
@@ -60,19 +58,33 @@ pub struct TraceDataset {
     cached_span: Option<TimeRange>,
 }
 
-/// Sample `i` of one machine's `[cpu, mem, disk]` series, which share one
-/// grid, as a clamped triple.
-fn triple_at(series: &[TimeSeries; 3], i: usize) -> UtilizationTriple {
-    let [cpu, mem, disk] = series;
-    UtilizationTriple::clamped(cpu.values()[i], mem.values()[i], disk.values()[i])
+/// One machine's `server_usage` samples: one strictly ascending time grid
+/// and the three metric columns on it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MachineUsage {
+    pub(crate) times: Vec<Timestamp>,
+    /// `[cpu, mem, disk]` fractions, each parallel to `times`.
+    pub(crate) values: [Vec<f64>; 3],
 }
 
-/// One machine's sample-and-hold utilization at `t` (`None` before its
-/// first sample): one guessed search on the CPU grid, whose index the
-/// memory and disk series share.
-fn util_at_or_before(series: &[TimeSeries; 3], t: Timestamp) -> Option<UtilizationTriple> {
-    let n = count_at_or_before(series[0].times(), t);
-    (n > 0).then(|| triple_at(series, n - 1))
+impl MachineUsage {
+    /// One metric's column on the grid.
+    fn view(&self, metric: Metric) -> SeriesView<'_> {
+        SeriesView::new(&self.times, &self.values[metric.index()])
+    }
+
+    /// Sample `i` as a clamped triple.
+    fn triple_at(&self, i: usize) -> UtilizationTriple {
+        let [cpu, mem, disk] = &self.values;
+        UtilizationTriple::clamped(cpu[i], mem[i], disk[i])
+    }
+
+    /// The sample-and-hold triple at `t` (`None` before the first sample):
+    /// one guessed search on the grid.
+    fn util_at_or_before(&self, t: Timestamp) -> Option<UtilizationTriple> {
+        let n = count_at_or_before(&self.times, t);
+        (n > 0).then(|| self.triple_at(n - 1))
+    }
 }
 
 /// How many of the ascending `times` are at or before `t` — exactly
@@ -316,9 +328,10 @@ impl TraceDatasetBuilder {
 
         // Usage: group by machine (sharded over input chunks, merged in
         // chunk order so each machine keeps its input order), then one
-        // worker task per machine sorts and builds its three series. A
-        // machine's samples never cross workers, so no float is ever
-        // accumulated in a different order than the serial path.
+        // worker task per machine sorts its samples once and splits them
+        // into the grid and the three metric columns. A machine's samples
+        // never cross workers, so the result is identical at every thread
+        // count.
         let usage_chunks = batchlens_exec::fixed_chunks(self.usage.len(), VALIDATE_CHUNK);
         let usage_groups = batchlens_exec::run_indexed(threads, usage_chunks.len(), |c| {
             let (lo, hi) = usage_chunks[c];
@@ -343,17 +356,23 @@ impl TraceDatasetBuilder {
             by_machine.into_iter().collect();
         let built = batchlens_exec::try_run_indexed(threads, machine_samples.len(), |i| {
             let (machine, samples) = &machine_samples[i];
-            // `from_samples` stable-sorts its pairs itself, so the borrowed
-            // sample list needs no pre-sort (and no clone): the three metric
-            // series and the duplicate-timestamp error come out exactly as
-            // the old sort-then-build path produced them.
-            let cpu =
-                TimeSeries::from_samples(samples.iter().map(|(t, u)| (*t, u.cpu.fraction())))?;
-            let mem =
-                TimeSeries::from_samples(samples.iter().map(|(t, u)| (*t, u.mem.fraction())))?;
-            let disk =
-                TimeSeries::from_samples(samples.iter().map(|(t, u)| (*t, u.disk.fraction())))?;
-            Ok((*machine, [cpu, mem, disk]))
+            // A stable sort, so the first duplicate timestamp in time order
+            // is the one reported.
+            let mut samples = samples.clone();
+            samples.sort_by_key(|&(t, _)| t);
+            if let Some(w) = samples.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(TraceError::UnorderedSamples {
+                    previous: w[0].0,
+                    offending: w[1].0,
+                });
+            }
+            let column =
+                |metric: Metric| samples.iter().map(|(_, u)| u[metric].fraction()).collect();
+            let usage = MachineUsage {
+                times: samples.iter().map(|&(t, _)| t).collect(),
+                values: Metric::ALL.map(column),
+            };
+            Ok((*machine, usage))
         })?;
         ds.usage = built.into_iter().collect();
 
@@ -382,10 +401,10 @@ pub(crate) struct SortedTables {
     pub tasks: Vec<BatchTaskRecord>,
     /// Sorted by `(job, task, seq)`.
     pub instances: Vec<BatchInstanceRecord>,
-    /// Per-machine `[cpu, mem, disk]` series, machine-ascending — built
-    /// straight from the store's machine-major usage columns (strictly
-    /// time-ascending per machine, verified during the column scan).
-    pub usage: Vec<(MachineId, [TimeSeries; 3])>,
+    /// Per-machine usage, machine-ascending — built straight from the
+    /// store's machine-major usage columns (strictly time-ascending per
+    /// machine, verified during the column scan).
+    pub usage: Vec<(MachineId, MachineUsage)>,
     /// Sorted by `(time, machine)`.
     pub events: Vec<MachineEventRecord>,
     /// The persisted machine capacity table.
@@ -452,8 +471,9 @@ impl TraceDataset {
         }
         ds.instances = t.instances;
 
-        // Usage arrives as finished per-machine series (built straight
-        // from the store's machine-major columns), machine-ascending.
+        // Usage arrives as finished per-machine grids and columns (built
+        // straight from the store's machine-major columns),
+        // machine-ascending.
         ds.usage = t.usage.into_iter().collect();
 
         // Add events in `(time, machine)` order, as the store reads them.
@@ -479,7 +499,7 @@ fn machine_table(
     declared: impl IntoIterator<Item = (MachineId, MachineInfo)>,
     events: &[MachineEventRecord],
     instances: &[BatchInstanceRecord],
-    usage: &BTreeMap<MachineId, [TimeSeries; 3]>,
+    usage: &BTreeMap<MachineId, MachineUsage>,
 ) -> BTreeMap<MachineId, MachineInfo> {
     let mut machines = BTreeMap::new();
     machines.extend(declared);
@@ -559,8 +579,8 @@ enum IndexPart {
 impl TraceDataset {
     /// Builds the query indexes (interval stabbing, liveness, span) from the
     /// validated tables. Called as the last step of both constructors,
-    /// which establish the two facts the reads rely on (see
-    /// [`TraceDataset`]); debug builds check them here.
+    /// which sort the instance table by `(job, task, seq)` (see
+    /// [`TraceDataset`]); debug builds check that order here.
     ///
     /// The three global index families and the span are independent tasks,
     /// and the per-machine interval indexes additionally fan out one task
@@ -572,12 +592,6 @@ impl TraceDataset {
                 .windows(2)
                 .all(|w| (w[0].job, w[0].task, w[0].seq) < (w[1].job, w[1].task, w[1].seq)),
             "instances ascend by (job, task, seq)"
-        );
-        debug_assert!(
-            self.usage
-                .values()
-                .all(|[cpu, mem, disk]| cpu.times() == mem.times() && cpu.times() == disk.times()),
-            "a machine's three series share one grid"
         );
         let parts = batchlens_exec::run_indexed(threads, 4, |part| match part {
             0 => IndexPart::Instances(IntervalIndex::build(
@@ -606,7 +620,7 @@ impl TraceDataset {
                 IndexPart::Liveness(liveness)
             }
             _ => {
-                // Union span of instance windows and usage series.
+                // Union span of instance windows and usage grids.
                 let mut span: Option<TimeRange> = None;
                 let mut merge = |r: TimeRange| {
                     span = Some(match span {
@@ -619,8 +633,8 @@ impl TraceDataset {
                         merge(w);
                     }
                 }
-                for series in self.usage.values() {
-                    if let Some(s) = series[0].span() {
+                for usage in self.usage.values() {
+                    if let Some(s) = usage.view(Metric::Cpu).span() {
                         merge(s);
                     }
                 }
@@ -808,30 +822,33 @@ impl TraceDataset {
         self.cached_span
     }
 
-    /// The `server_usage` rows the usage series hold, in `(machine, time)`
-    /// order — the order the segment store writes. A machine's three series
-    /// share one grid, so its row `i` is sample `i` of each, clamped as the
-    /// builder clamps a row.
+    /// The `server_usage` rows the usage holds, in `(machine, time)` order —
+    /// the order the segment store writes. A machine's row `i` is its grid
+    /// point `i` and the three values on it, clamped as the builder clamps
+    /// a row.
     pub fn usage_records(&self) -> Vec<ServerUsageRecord> {
         self.usage
             .iter()
-            .flat_map(|(&machine, series)| {
-                let times = series[0].times();
-                (0..times.len()).map(move |i| ServerUsageRecord {
-                    time: times[i],
-                    machine,
-                    util: triple_at(series, i),
-                })
+            .flat_map(|(&machine, usage)| {
+                usage
+                    .times
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, &time)| ServerUsageRecord {
+                        time,
+                        machine,
+                        util: usage.triple_at(i),
+                    })
             })
             .collect()
     }
 
     /// The body of this dataset's [`DatasetQuery::frame`]: one ordered
     /// pass over the machine table that walks the liveness checkpoints and
-    /// the usage series in step with it (all three ascend by machine id),
-    /// instead of a map search in each per machine. A machine's utilization
-    /// is read from its three series at the index one guessed search finds
-    /// on the CPU grid.
+    /// the usage in step with it (all three ascend by machine id), instead
+    /// of a map search in each per machine. A machine's utilization is read
+    /// from its three columns at the index one guessed search finds on its
+    /// grid.
     pub(crate) fn capture_frame(&self, at: Timestamp) -> QueryFrame {
         let machines: Vec<MachineId> = self.machines.keys().copied().collect();
         let mut alive = Vec::with_capacity(machines.len());
@@ -843,7 +860,7 @@ impl TraceDataset {
                 seek_machine(&mut liveness, machine)
                     .is_none_or(|checkpoints| alive_at_checkpoints(checkpoints, at)),
             );
-            utils.push(seek_machine(&mut usage, machine).and_then(|s| util_at_or_before(s, at)));
+            utils.push(seek_machine(&mut usage, machine).and_then(|u| u.util_at_or_before(at)));
         }
         QueryFrame::new(
             at,
@@ -1061,18 +1078,21 @@ impl<'a> MachineView<'a> {
             .map_or(0, |index| index.count_at(t))
     }
 
-    /// The machine's usage series for `metric`, or `None` when the trace has
-    /// no usage rows for it.
-    pub fn usage(&self, metric: Metric) -> Option<&'a TimeSeries> {
-        self.ds.usage.get(&self.id).map(|s| &s[metric.index()])
+    /// The machine's usage series for `metric` as a borrowed view of the
+    /// dataset's storage, or `None` when the trace has no usage rows for
+    /// the machine. The three metrics' views share one time grid (the same
+    /// `times()` slice); a reader that keeps an owned series copies the
+    /// window it needs ([`SeriesView::to_owned`]).
+    pub fn usage(&self, metric: Metric) -> Option<SeriesView<'a>> {
+        self.ds.usage.get(&self.id).map(|u| u.view(metric))
     }
 
     /// The machine's utilization triple at `t` (sample-and-hold), or `None`
     /// before its first sample. One lookup and one guessed search on the
-    /// CPU series' grid, which the memory and disk series share; the three
-    /// values at that index are clamped into a triple.
+    /// machine's grid; the three values at that index are clamped into a
+    /// triple.
     pub fn util_at(&self, t: Timestamp) -> Option<UtilizationTriple> {
-        util_at_or_before(self.ds.usage.get(&self.id)?, t)
+        self.ds.usage.get(&self.id)?.util_at_or_before(t)
     }
 
     /// Whether the machine is alive at `t` according to machine events.

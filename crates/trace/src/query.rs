@@ -87,7 +87,7 @@ pub fn hottest_sample(
             let Some(series) = m.usage(metric) else {
                 continue;
             };
-            for (t, v) in series.slice_view(window).iter() {
+            for (t, v) in series.slice(window).iter() {
                 if best.is_none_or(|(_, _, bv, _)| v > bv) {
                     best = Some((m.id(), metric, v, t));
                 }
@@ -105,10 +105,7 @@ pub fn stats_in(
     metric: Metric,
     window: &TimeRange,
 ) -> Option<crate::SeriesStats> {
-    ds.machine(machine)?
-        .usage(metric)?
-        .slice_view(window)
-        .stats()
+    ds.machine(machine)?.usage(metric)?.slice(window).stats()
 }
 
 /// Total instance-seconds of work executed on `machine` (a crude "how much

@@ -344,7 +344,12 @@ impl DatasetQuery for crate::TraceDataset {
         metric: Metric,
         window: &TimeRange,
     ) -> Option<TimeSeries> {
-        Some(self.machine(machine)?.usage(metric)?.slice(window))
+        Some(
+            self.machine(machine)?
+                .usage(metric)?
+                .slice(window)
+                .to_owned(),
+        )
     }
 
     fn frame(&self, at: Timestamp) -> QueryFrame {

@@ -137,16 +137,6 @@ impl TimeSeries {
         Ok(s)
     }
 
-    /// Builds a series from parts the caller has already verified to be
-    /// strictly time-ascending and equal-length — the segment-store fast
-    /// path, which checks order while scanning the mapped time column and
-    /// must not pay for a second sort-and-scan here.
-    pub(crate) fn from_sorted_parts(times: Vec<Timestamp>, values: Vec<f64>) -> TimeSeries {
-        debug_assert_eq!(times.len(), values.len());
-        debug_assert!(times.windows(2).all(|w| w[0] < w[1]));
-        TimeSeries { times, values }
-    }
-
     /// Appends a sample; timestamps must be strictly increasing.
     ///
     /// # Errors
@@ -203,13 +193,9 @@ impl TimeSeries {
     }
 
     /// The closed span `[first, last]` as a half-open range `[first, last+1)`,
-    /// or `None` when empty. The end saturates: a series whose last sample
-    /// is at `i64::MAX` spans `[first, i64::MAX)`, since no half-open range
-    /// can reach past the last representable instant.
+    /// or `None` when empty ([`SeriesView::span`]).
     pub fn span(&self) -> Option<TimeRange> {
-        let (first, _) = self.first()?;
-        let (last, _) = self.last()?;
-        TimeRange::new(first, Timestamp::new(last.seconds().saturating_add(1))).ok()
+        self.view().span()
     }
 
     /// Exact-match lookup.
@@ -253,10 +239,10 @@ impl TimeSeries {
 
     /// Copies the samples whose timestamps fall inside `range` (half-open).
     ///
-    /// Prefer [`TimeSeries::slice_view`] on hot paths — it borrows instead
-    /// of copying.
+    /// Prefer `view().slice(range)` ([`SeriesView::slice`]) on hot paths —
+    /// it borrows instead of copying.
     pub fn slice(&self, range: &TimeRange) -> TimeSeries {
-        self.slice_view(range).to_owned()
+        self.view().slice(range).to_owned()
     }
 
     /// A borrowed view of the whole series.
@@ -264,18 +250,6 @@ impl TimeSeries {
         SeriesView {
             times: &self.times,
             values: &self.values,
-        }
-    }
-
-    /// A borrowed view of the samples inside `range` (half-open). No
-    /// allocation: window scans over many machines should use this instead
-    /// of [`TimeSeries::slice`].
-    pub fn slice_view(&self, range: &TimeRange) -> SeriesView<'_> {
-        let start = self.times.partition_point(|&t| t < range.start());
-        let end = self.times.partition_point(|&t| t < range.end());
-        SeriesView {
-            times: &self.times[start..end],
-            values: &self.values[start..end],
         }
     }
 
@@ -357,33 +331,22 @@ impl TimeSeries {
     /// This is the aggregation behind the paper's system-wide timeline view.
     /// It runs a single k-way merge sweep holding one cursor per series —
     /// O(total samples · log M) for M series — instead of a binary search
-    /// per series per union-grid point.
+    /// per series per union-grid point. The series are borrowed views, so a
+    /// dataset's usage series ([`crate::MachineView::usage`]) aggregate
+    /// without a copy.
     pub fn mean_of<'a, I>(series: I) -> TimeSeries
     where
-        I: IntoIterator<Item = &'a TimeSeries>,
+        I: IntoIterator<Item = SeriesView<'a>>,
     {
-        sweep_aggregate(series, MeanAccum::default())
-    }
-
-    /// Pointwise sum of many series on the union grid (sample-and-hold),
-    /// by the same sweep as [`TimeSeries::mean_of`]. Series that have not
-    /// started yet contribute nothing.
-    pub fn sum_of<'a, I>(series: I) -> TimeSeries
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-    {
-        sweep_aggregate(series, SumAccum::default())
-    }
-
-    /// Pointwise maximum of many series on the union grid (sample-and-hold),
-    /// by the same sweep as [`TimeSeries::mean_of`]. The running maximum is
-    /// maintained in an ordered multiset, so one series dropping from the
-    /// top never forces a rescan of the others.
-    pub fn max_of<'a, I>(series: I) -> TimeSeries
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-    {
-        sweep_aggregate(series, MaxAccum::default())
+        let series: Vec<SeriesView<'a>> = series.into_iter().collect();
+        let total: usize = series.iter().map(|s| s.len()).sum();
+        let mut out = TimeSeries::with_capacity(total.min(1 << 20));
+        kway_sweep(&series, |t, sum, started| {
+            // Union grid timestamps strictly increase across calls.
+            out.push(t, sum / f64::from(started))
+                .expect("sweep emits strictly increasing grid");
+        });
+        out
     }
 
     /// Pointwise difference `self - other` on `self`'s grid using
@@ -436,114 +399,23 @@ pub fn quantile_select(values: &mut [f64], q: f64) -> f64 {
 
 // ------------------------------------------------------- k-way merge sweep --
 
-/// Folds the per-series sample-and-hold state of a sweep into one output
-/// value per union-grid point.
-trait SweepAccum {
-    /// A series produced its first sample, `new`.
-    fn enter(&mut self, new: f64);
-    /// A started series moved from value `old` to `new`.
-    fn update(&mut self, old: f64, new: f64);
-    /// The aggregate over the currently started series.
-    fn emit(&self) -> f64;
-}
-
-#[derive(Default)]
-struct MeanAccum {
-    sum: f64,
-    count: usize,
-}
-
-impl SweepAccum for MeanAccum {
-    fn enter(&mut self, new: f64) {
-        self.sum += new;
-        self.count += 1;
-    }
-    fn update(&mut self, old: f64, new: f64) {
-        self.sum += new - old;
-    }
-    fn emit(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-}
-
-#[derive(Default)]
-struct SumAccum {
-    sum: f64,
-}
-
-impl SweepAccum for SumAccum {
-    fn enter(&mut self, new: f64) {
-        self.sum += new;
-    }
-    fn update(&mut self, old: f64, new: f64) {
-        self.sum += new - old;
-    }
-    fn emit(&self) -> f64 {
-        self.sum
-    }
-}
-
-/// Ordered multiset of the started series' current values (total order over
-/// f64 bits), so the maximum survives arbitrary per-series updates.
-#[derive(Default)]
-struct MaxAccum {
-    values: std::collections::BTreeMap<u64, u32>,
-}
-
-/// Monotone bijection from f64 to u64 preserving `total_cmp` order.
-fn f64_order_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    bits ^ (((bits as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
-}
-
-fn f64_from_order_key(k: u64) -> f64 {
-    let bits = k ^ ((((k ^ 0x8000_0000_0000_0000) as i64 >> 63) as u64) | 0x8000_0000_0000_0000);
-    f64::from_bits(bits)
-}
-
-impl SweepAccum for MaxAccum {
-    fn enter(&mut self, new: f64) {
-        *self.values.entry(f64_order_key(new)).or_insert(0) += 1;
-    }
-    fn update(&mut self, old: f64, new: f64) {
-        let old_key = f64_order_key(old);
-        if let Some(n) = self.values.get_mut(&old_key) {
-            *n -= 1;
-            if *n == 0 {
-                self.values.remove(&old_key);
-            }
-        }
-        self.enter(new);
-    }
-    fn emit(&self) -> f64 {
-        self.values
-            .keys()
-            .next_back()
-            .copied()
-            .map(f64_from_order_key)
-            .unwrap_or(f64::NEG_INFINITY)
-    }
-}
-
-/// The shared k-way merge loop behind both the serial sweeps and the
+/// The k-way merge loop behind both [`TimeSeries::mean_of`] and the
 /// parallel chunk partials: one cursor per series, a min-heap of `(next
-/// time, series)`, and a running accumulator over the started series'
-/// current values. Calls `emit(t, &acc)` once per distinct timestamp in the
-/// union grid, after every sample stamped exactly `t` has been consumed.
-fn kway_sweep<A: SweepAccum>(
-    series: &[&TimeSeries],
-    acc: &mut A,
-    mut emit: impl FnMut(Timestamp, &A),
-) {
+/// time, series)`, and the running sum and count of the started series'
+/// current values. Calls `emit(t, sum, started)` once per distinct
+/// timestamp in the union grid, after every sample stamped exactly `t` has
+/// been consumed.
+fn kway_sweep(series: &[SeriesView<'_>], mut emit: impl FnMut(Timestamp, f64, u32)) {
     let mut heap: BinaryHeap<Reverse<(Timestamp, usize)>> = series
         .iter()
         .enumerate()
         .filter(|(_, s)| !s.is_empty())
         .map(|(i, s)| Reverse((s.times[0], i)))
         .collect();
-    // cursor[i] = index of the *next* unconsumed sample of series i.
+    // cursor[i] = index of the *next* unconsumed sample of series i, so a
+    // started series' current value is `values[cursor[i] - 1]`.
     let mut cursor = vec![0usize; series.len()];
-    let mut current = vec![0.0f64; series.len()];
+    let (mut sum, mut started) = (0.0f64, 0u32);
     while let Some(&Reverse((t, _))) = heap.peek() {
         // Consume every series sample stamped exactly `t`.
         while let Some(mut top) = heap.peek_mut() {
@@ -552,41 +424,23 @@ fn kway_sweep<A: SweepAccum>(
                 break;
             }
             let j = cursor[i];
-            let new = series[i].values[j];
+            let values = series[i].values;
             if j == 0 {
-                acc.enter(new);
+                sum += values[0];
+                started += 1;
             } else {
-                acc.update(current[i], new);
+                sum += values[j] - values[j - 1];
             }
-            current[i] = new;
             cursor[i] = j + 1;
-            if j + 1 < series[i].len() {
+            if j + 1 < values.len() {
                 // Replace the root in place: one sift instead of pop+push.
                 *top = Reverse((series[i].times[j + 1], i));
             } else {
                 std::collections::binary_heap::PeekMut::pop(top);
             }
         }
-        emit(t, acc);
+        emit(t, sum, started);
     }
-}
-
-/// [`kway_sweep`] finalized per grid point into a series — the serial
-/// `mean_of`/`sum_of`/`max_of` driver.
-fn sweep_aggregate<'a, I, A>(series: I, mut acc: A) -> TimeSeries
-where
-    I: IntoIterator<Item = &'a TimeSeries>,
-    A: SweepAccum,
-{
-    let series: Vec<&TimeSeries> = series.into_iter().filter(|s| !s.is_empty()).collect();
-    let total: usize = series.iter().map(|s| s.len()).sum();
-    let mut out = TimeSeries::with_capacity(total.min(1 << 20));
-    kway_sweep(&series, &mut acc, |t, acc| {
-        // Union grid timestamps strictly increase across iterations.
-        out.push(t, acc.emit())
-            .expect("sweep emits strictly increasing grid");
-    });
-    out
 }
 
 // ---------------------------------------------- parallel chunk-merge sweep --
@@ -596,71 +450,24 @@ where
 /// every floating-point result — is identical at any pool size.
 const PAR_SERIES_CHUNK: usize = 64;
 
-/// Which reduction a partial sweep carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ParOp {
-    Mean,
-    Sum,
-    Max,
-}
-
 /// A chunk's sweep state sampled at each of its union-grid points: the
-/// running `(value, started-count)` pair that two chunks can combine
+/// running `(sum, started-count)` pair that two chunks can combine
 /// pointwise with sample-and-hold semantics.
 #[derive(Debug, Clone, Default)]
 struct PartialSweep {
     times: Vec<Timestamp>,
-    values: Vec<f64>,
+    sums: Vec<f64>,
     counts: Vec<u32>,
 }
 
-/// The chunk accumulator: the same enter/update/emit algebra as the serial
-/// accumulators (it delegates to [`MaxAccum`] for max and mirrors
-/// `MeanAccum`/`SumAccum`'s running sum for the additive ops), plus the
-/// started-series count the combine step needs.
-struct PartAccum {
-    op: ParOp,
-    sum: f64,
-    count: u32,
-    max: MaxAccum,
-}
-
-impl SweepAccum for PartAccum {
-    fn enter(&mut self, new: f64) {
-        self.count += 1;
-        match self.op {
-            ParOp::Mean | ParOp::Sum => self.sum += new,
-            ParOp::Max => self.max.enter(new),
-        }
-    }
-    fn update(&mut self, old: f64, new: f64) {
-        match self.op {
-            ParOp::Mean | ParOp::Sum => self.sum += new - old,
-            ParOp::Max => self.max.update(old, new),
-        }
-    }
-    fn emit(&self) -> f64 {
-        match self.op {
-            ParOp::Mean | ParOp::Sum => self.sum,
-            ParOp::Max => self.max.emit(),
-        }
-    }
-}
-
-/// Runs the [`kway_sweep`] over one chunk, emitting the partial accumulator
-/// state instead of the finalized aggregate.
-fn partial_sweep(series: &[&TimeSeries], op: ParOp) -> PartialSweep {
-    let mut acc = PartAccum {
-        op,
-        sum: 0.0,
-        count: 0,
-        max: MaxAccum::default(),
-    };
+/// Runs the [`kway_sweep`] over one chunk, recording the running sum and
+/// count instead of their quotient.
+fn partial_sweep(series: &[SeriesView<'_>]) -> PartialSweep {
     let mut out = PartialSweep::default();
-    kway_sweep(series, &mut acc, |t, acc| {
+    kway_sweep(series, |t, sum, started| {
         out.times.push(t);
-        out.values.push(acc.emit());
-        out.counts.push(acc.count);
+        out.sums.push(sum);
+        out.counts.push(started);
     });
     out
 }
@@ -668,12 +475,11 @@ fn partial_sweep(series: &[&TimeSeries], op: ParOp) -> PartialSweep {
 /// Combines two partial sweeps on the union of their grids with
 /// sample-and-hold semantics: a side that has not started yet at a grid
 /// point contributes nothing there. The left operand always folds first
-/// (`left + right` for sums), so the combine tree fixes the floating-point
-/// order.
-fn combine_partials(a: &PartialSweep, b: &PartialSweep, op: ParOp) -> PartialSweep {
+/// (`left + right`), so the combine tree fixes the floating-point order.
+fn combine_partials(a: &PartialSweep, b: &PartialSweep) -> PartialSweep {
     let mut out = PartialSweep {
         times: Vec::with_capacity(a.times.len() + b.times.len()),
-        values: Vec::with_capacity(a.times.len() + b.times.len()),
+        sums: Vec::with_capacity(a.times.len() + b.times.len()),
         counts: Vec::with_capacity(a.times.len() + b.times.len()),
     };
     let (mut i, mut j) = (0usize, 0usize);
@@ -689,133 +495,84 @@ fn combine_partials(a: &PartialSweep, b: &PartialSweep, op: ParOp) -> PartialSwe
             (None, None) => unreachable!("loop condition"),
         };
         if ta == Some(t) {
-            a_cur = Some((a.values[i], a.counts[i]));
+            a_cur = Some((a.sums[i], a.counts[i]));
             i += 1;
         }
         if tb == Some(t) {
-            b_cur = Some((b.values[j], b.counts[j]));
+            b_cur = Some((b.sums[j], b.counts[j]));
             j += 1;
         }
         let (v, n) = match (a_cur, b_cur) {
-            (Some((va, na)), Some((vb, nb))) => {
-                let v = match op {
-                    ParOp::Mean | ParOp::Sum => va + vb,
-                    // Match MaxAccum's total_cmp ordering exactly.
-                    ParOp::Max => {
-                        if va.total_cmp(&vb) == std::cmp::Ordering::Less {
-                            vb
-                        } else {
-                            va
-                        }
-                    }
-                };
-                (v, na + nb)
-            }
+            (Some((va, na)), Some((vb, nb))) => (va + vb, na + nb),
             (Some(x), None) | (None, Some(x)) => x,
             (None, None) => unreachable!("t came from one of the sides"),
         };
         out.times.push(t);
-        out.values.push(v);
+        out.sums.push(v);
         out.counts.push(n);
     }
     out
 }
 
-/// Finalizes a fully combined partial sweep into the aggregate series.
-fn finalize_partial(p: PartialSweep, op: ParOp) -> TimeSeries {
-    let values = match op {
-        ParOp::Mean => p
-            .values
-            .iter()
-            .zip(&p.counts)
-            .map(|(&s, &n)| s / n as f64)
-            .collect(),
-        ParOp::Sum | ParOp::Max => p.values,
-    };
-    TimeSeries {
-        times: p.times,
-        values,
-    }
-}
-
-/// The shared chunk-merge driver behind the `*_of_par` aggregations.
-///
-/// The series list is split into fixed [`PAR_SERIES_CHUNK`]-sized chunks;
-/// each chunk runs the k-way merge sweep to a partial state series, and the
-/// partials fold in a fixed pairwise tree (`(c0+c1) + (c2+c3) + …`). Both
-/// levels fan out across `threads` workers, but the reduction graph depends
-/// only on the input, so the output is **bit-identical at every thread
-/// count** — including the `threads = 1` serial fallback, which runs the
-/// same graph inline. With a single chunk (≤ 64 series) the result is also
-/// bit-identical to the serial [`TimeSeries::mean_of`]-family sweep; above
-/// that, per-point sums associate differently (same values up to float
-/// rounding), which is why the timeline paths use the `_par` kernels for
-/// *both* their serial and parallel modes.
-fn sweep_aggregate_par(series: &[&TimeSeries], op: ParOp, threads: usize) -> TimeSeries {
-    let chunks = batchlens_exec::fixed_chunks(series.len(), PAR_SERIES_CHUNK);
-    if chunks.is_empty() {
-        return TimeSeries::new();
-    }
-    let mut partials: Vec<PartialSweep> = batchlens_exec::run_indexed(threads, chunks.len(), |c| {
-        let (lo, hi) = chunks[c];
-        partial_sweep(&series[lo..hi], op)
-    });
-    while partials.len() > 1 {
-        let pairs = partials.len() / 2;
-        let mut next = batchlens_exec::run_indexed(threads, pairs, |p| {
-            combine_partials(&partials[2 * p], &partials[2 * p + 1], op)
-        });
-        if partials.len() % 2 == 1 {
-            next.push(partials.pop().expect("odd leftover"));
-        }
-        partials = next;
-    }
-    finalize_partial(partials.pop().expect("at least one chunk"), op)
-}
-
 impl TimeSeries {
-    /// Parallel [`TimeSeries::mean_of`]: the union-grid sample-and-hold mean
-    /// computed by the fixed chunk-merge tree described in the module's
-    /// parallel section, fanned out across `threads` workers
-    /// (`threads = 0` uses [`batchlens_exec::default_threads`]).
+    /// Parallel [`TimeSeries::mean_of`], fanned out across `threads`
+    /// workers (`threads = 0` uses [`batchlens_exec::default_threads`]).
+    ///
+    /// The series list is split into fixed 64-series chunks; each chunk
+    /// sweeps to a partial `(sum, count)` series, and the
+    /// partials fold in a fixed pairwise tree (`(c0+c1) + (c2+c3) + …`).
+    /// Both levels fan out across the workers, but the reduction graph
+    /// depends only on the input, so the output is **bit-identical at every
+    /// thread count**, including the `threads = 1` serial fallback, which
+    /// runs the same graph inline. With a single chunk (≤ 64 series) the
+    /// result is also bit-identical to [`TimeSeries::mean_of`]; above that,
+    /// per-point sums associate differently (same values up to float
+    /// rounding), which is why the timeline uses this kernel for *both* its
+    /// serial and parallel modes.
     ///
     /// O(total samples · log chunk-size) sweep work split across workers
-    /// plus O(union-grid · log chunks) combine work; deterministic and
-    /// bit-identical at every thread count.
+    /// plus O(union-grid · log chunks) combine work.
     pub fn mean_of_par<'a, I>(series: I, threads: usize) -> TimeSeries
     where
-        I: IntoIterator<Item = &'a TimeSeries>,
+        I: IntoIterator<Item = SeriesView<'a>>,
     {
-        let series: Vec<&TimeSeries> = series.into_iter().collect();
-        sweep_aggregate_par(&series, ParOp::Mean, threads)
-    }
-
-    /// Parallel [`TimeSeries::sum_of`] by the same chunk-merge tree as
-    /// [`TimeSeries::mean_of_par`]; deterministic and bit-identical at every
-    /// thread count.
-    pub fn sum_of_par<'a, I>(series: I, threads: usize) -> TimeSeries
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-    {
-        let series: Vec<&TimeSeries> = series.into_iter().collect();
-        sweep_aggregate_par(&series, ParOp::Sum, threads)
-    }
-
-    /// Parallel [`TimeSeries::max_of`] by the same chunk-merge tree as
-    /// [`TimeSeries::mean_of_par`]. The chunk maxima combine with
-    /// `total_cmp`, exactly like the serial ordered-multiset accumulator, so
-    /// this one is bit-identical to the serial sweep at *any* chunk count —
-    /// max is associative.
-    pub fn max_of_par<'a, I>(series: I, threads: usize) -> TimeSeries
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-    {
-        let series: Vec<&TimeSeries> = series.into_iter().collect();
-        sweep_aggregate_par(&series, ParOp::Max, threads)
+        let series: Vec<SeriesView<'a>> = series.into_iter().collect();
+        let chunks = batchlens_exec::fixed_chunks(series.len(), PAR_SERIES_CHUNK);
+        if chunks.is_empty() {
+            return TimeSeries::new();
+        }
+        let mut partials: Vec<PartialSweep> =
+            batchlens_exec::run_indexed(threads, chunks.len(), |c| {
+                let (lo, hi) = chunks[c];
+                partial_sweep(&series[lo..hi])
+            });
+        while partials.len() > 1 {
+            let pairs = partials.len() / 2;
+            let mut next = batchlens_exec::run_indexed(threads, pairs, |p| {
+                combine_partials(&partials[2 * p], &partials[2 * p + 1])
+            });
+            if partials.len() % 2 == 1 {
+                next.push(partials.pop().expect("odd leftover"));
+            }
+            partials = next;
+        }
+        let p = partials.pop().expect("at least one chunk");
+        let values = p
+            .sums
+            .iter()
+            .zip(&p.counts)
+            .map(|(&s, &n)| s / f64::from(n))
+            .collect();
+        TimeSeries {
+            times: p.times,
+            values,
+        }
     }
 }
 
-/// A borrowed, zero-copy window over a [`TimeSeries`].
+/// A borrowed, zero-copy window over time-ascending samples: a slice of a
+/// [`TimeSeries`], or one metric of a dataset machine's usage
+/// ([`crate::MachineView::usage`]), whose three metrics share one time grid.
 ///
 /// Window scans that previously cloned sub-series per machine per metric
 /// (hottest-sample search, windowed stats) borrow the underlying sample
@@ -827,6 +584,12 @@ pub struct SeriesView<'a> {
 }
 
 impl<'a> SeriesView<'a> {
+    /// A view over parallel `times` and `values`; the times ascend strictly.
+    pub(crate) fn new(times: &'a [Timestamp], values: &'a [f64]) -> SeriesView<'a> {
+        debug_assert_eq!(times.len(), values.len());
+        SeriesView { times, values }
+    }
+
     /// Number of samples in the view.
     pub fn len(&self) -> usize {
         self.times.len()
@@ -862,6 +625,15 @@ impl<'a> SeriesView<'a> {
         Some((*self.times.last()?, *self.values.last()?))
     }
 
+    /// The closed span `[first, last]` as a half-open range `[first, last+1)`,
+    /// or `None` when empty. The end saturates: a view whose last sample is
+    /// at `i64::MAX` spans `[first, i64::MAX)`, since no half-open range can
+    /// reach past the last representable instant.
+    pub fn span(&self) -> Option<TimeRange> {
+        let (&first, &last) = (self.times.first()?, self.times.last()?);
+        TimeRange::new(first, last + TimeDelta::seconds(1)).ok()
+    }
+
     /// Narrows the view to `range` (half-open), still without copying.
     pub fn slice(&self, range: &TimeRange) -> SeriesView<'a> {
         let start = self.times.partition_point(|&t| t < range.start());
@@ -893,76 +665,33 @@ impl<'a> SeriesView<'a> {
 /// per series per grid point. They are O(G·M·log S) where the sweep kernels
 /// are O(total · log M) — do not call them on hot paths.
 pub mod naive {
-    use super::{TimeSeries, Timestamp};
+    use super::{SeriesView, TimeSeries, Timestamp};
 
     /// Reference [`TimeSeries::mean_of`].
     pub fn mean_of<'a, I>(series: I) -> TimeSeries
     where
-        I: IntoIterator<Item = &'a TimeSeries>,
+        I: IntoIterator<Item = SeriesView<'a>>,
         I::IntoIter: Clone,
     {
         let iter = series.into_iter();
+        let mut grid: Vec<Timestamp> = iter.clone().flat_map(|s| s.times()).copied().collect();
+        grid.sort_unstable();
+        grid.dedup();
         let mut out = TimeSeries::with_capacity(0);
-        for t in union_grid(iter.clone()) {
+        for t in grid {
             let mut sum = 0.0;
             let mut n = 0usize;
             for s in iter.clone() {
-                if let Some(v) = s.value_at_or_before(t) {
-                    sum += v;
+                // Sample-and-hold: the latest sample at or before `t`.
+                let at_or_before = s.times().partition_point(|&st| st <= t);
+                if at_or_before > 0 {
+                    sum += s.values()[at_or_before - 1];
                     n += 1;
                 }
             }
             if n > 0 {
                 out.push(t, sum / n as f64)
                     .expect("grid is strictly increasing");
-            }
-        }
-        out
-    }
-
-    /// Reference [`TimeSeries::sum_of`].
-    pub fn sum_of<'a, I>(series: I) -> TimeSeries
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-        I::IntoIter: Clone,
-    {
-        let iter = series.into_iter();
-        let mut out = TimeSeries::with_capacity(0);
-        for t in union_grid(iter.clone()) {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for s in iter.clone() {
-                if let Some(v) = s.value_at_or_before(t) {
-                    sum += v;
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                out.push(t, sum).expect("grid is strictly increasing");
-            }
-        }
-        out
-    }
-
-    /// Reference [`TimeSeries::max_of`].
-    pub fn max_of<'a, I>(series: I) -> TimeSeries
-    where
-        I: IntoIterator<Item = &'a TimeSeries>,
-        I::IntoIter: Clone,
-    {
-        let iter = series.into_iter();
-        let mut out = TimeSeries::with_capacity(0);
-        for t in union_grid(iter.clone()) {
-            let mut max = f64::NEG_INFINITY;
-            let mut n = 0usize;
-            for s in iter.clone() {
-                if let Some(v) = s.value_at_or_before(t) {
-                    max = max.max(v);
-                    n += 1;
-                }
-            }
-            if n > 0 {
-                out.push(t, max).expect("grid is strictly increasing");
             }
         }
         out
@@ -978,16 +707,6 @@ pub mod naive {
             }
         }
         out
-    }
-
-    fn union_grid<'a, I: Iterator<Item = &'a TimeSeries>>(iter: I) -> Vec<Timestamp> {
-        let mut grid: Vec<Timestamp> = Vec::new();
-        for s in iter {
-            grid.extend_from_slice(s.times());
-        }
-        grid.sort_unstable();
-        grid.dedup();
-        grid
     }
 }
 
@@ -1146,29 +865,13 @@ mod tests {
             TimeSeries::from_samples(vec![(Timestamp::new(0), 0.0), (Timestamp::new(100), 1.0)])
                 .unwrap();
         let b = TimeSeries::from_samples(vec![(Timestamp::new(50), 3.0)]).unwrap();
-        let m = TimeSeries::mean_of([&a, &b]);
+        let m = TimeSeries::mean_of([a.view(), b.view()]);
         // grid: 0 (only a), 50 (a holds 0.0, b=3 → 1.5), 100 (a=1, b holds 3 → 2)
         assert_eq!(
             m.times(),
             &[Timestamp::new(0), Timestamp::new(50), Timestamp::new(100)]
         );
         assert_eq!(m.values(), &[0.0, 1.5, 2.0]);
-    }
-
-    #[test]
-    fn sum_and_max_follow_sample_and_hold() {
-        let a =
-            TimeSeries::from_samples(vec![(Timestamp::new(0), 1.0), (Timestamp::new(100), 4.0)])
-                .unwrap();
-        let b = TimeSeries::from_samples(vec![(Timestamp::new(50), 3.0)]).unwrap();
-        let sum = TimeSeries::sum_of([&a, &b]);
-        assert_eq!(
-            sum.times(),
-            &[Timestamp::new(0), Timestamp::new(50), Timestamp::new(100)]
-        );
-        assert_eq!(sum.values(), &[1.0, 4.0, 7.0]);
-        let max = TimeSeries::max_of([&a, &b]);
-        assert_eq!(max.values(), &[1.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -1184,18 +887,8 @@ mod tests {
         let c = TimeSeries::new();
         let sets: [&[&TimeSeries]; 3] = [&[&a, &b, &c], &[&a], &[]];
         for set in sets {
-            assert_eq!(
-                TimeSeries::mean_of(set.iter().copied()),
-                naive::mean_of(set.iter().copied())
-            );
-            assert_eq!(
-                TimeSeries::sum_of(set.iter().copied()),
-                naive::sum_of(set.iter().copied())
-            );
-            assert_eq!(
-                TimeSeries::max_of(set.iter().copied()),
-                naive::max_of(set.iter().copied())
-            );
+            let views = set.iter().map(|s| s.view());
+            assert_eq!(TimeSeries::mean_of(views.clone()), naive::mean_of(views));
         }
         assert_eq!(a.sub_series(&b), naive::sub_series(&a, &b));
         assert_eq!(b.sub_series(&a), naive::sub_series(&b, &a));
@@ -1205,7 +898,7 @@ mod tests {
     fn views_borrow_without_copying() {
         let s = ramp(10, 60);
         let r = TimeRange::new(Timestamp::new(60), Timestamp::new(240)).unwrap();
-        let v = s.slice_view(&r);
+        let v = s.view().slice(&r);
         assert_eq!(v.len(), 3);
         assert_eq!(v.first().unwrap().0, Timestamp::new(60));
         assert_eq!(v.last().unwrap().0, Timestamp::new(180));

@@ -16,8 +16,9 @@
 //!   CSV parse: segments are mapped lazily (pages fault in on first
 //!   touch), the batch/event families decode one exec-pool task per
 //!   segment and concatenate in segment order under one linear order
-//!   check, the machine-major `server_usage` columns turn into
-//!   per-machine [`TimeSeries`] directly — no record materialization —
+//!   check, the machine-major `server_usage` columns turn into each
+//!   machine's time grid and three value columns directly — no record
+//!   materialization, and the verified grid is moved in, not copied —
 //!   and the sorted tables feed a trusted build that skips the builder's
 //!   re-sorts. The writer sorts every family, so a store whose checksums
 //!   pass but whose rows are out of order is hand-made or tampered:
@@ -58,10 +59,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::wal::{crc32, put_f64, put_i64, put_u32, put_u64, Cursor};
+use crate::dataset::MachineUsage;
 use crate::{
     BatchInstanceRecord, BatchTaskRecord, JobId, MachineEvent, MachineEventRecord, MachineId,
-    MachineInfo, ServerUsageRecord, TaskId, TaskStatus, TimeSeries, Timestamp, TraceDataset,
-    TraceError, Utilization, UtilizationTriple,
+    MachineInfo, ServerUsageRecord, TaskId, TaskStatus, Timestamp, TraceDataset, TraceError,
+    Utilization, UtilizationTriple,
 };
 
 /// Failpoint site evaluated before every segment-file write
@@ -1252,11 +1254,11 @@ fn decode_segment(seg: &SegmentReader) -> Result<DecodedSegment, TraceError> {
     })
 }
 
-/// Builds the per-machine `[cpu, mem, disk]` series straight from the
-/// mapped usage columns — no `ServerUsageRecord` ever materializes. The
-/// machine-major sort makes each machine's samples a contiguous slice of
-/// every column (possibly spanning consecutive segments), so the series
-/// are three clamped column copies sharing one verified time grid.
+/// Builds each machine's usage straight from the mapped usage columns — no
+/// `ServerUsageRecord` ever materializes. The machine-major sort makes each
+/// machine's samples a contiguous slice of every column (possibly spanning
+/// consecutive segments), so a machine's usage is its verified time grid,
+/// moved in, and three clamped value-column copies.
 ///
 /// Machines must not decrease, and times must ascend strictly within one
 /// machine. The walk below visits the rows in store order, so the first
@@ -1264,7 +1266,7 @@ fn decode_segment(seg: &SegmentReader) -> Result<DecodedSegment, TraceError> {
 /// in the segment that holds it.
 fn usage_series_from_columns(
     segs: &[&SegmentReader],
-) -> Result<Vec<(MachineId, [TimeSeries; 3])>, TraceError> {
+) -> Result<Vec<(MachineId, MachineUsage)>, TraceError> {
     // Machine runs in store order: (machine, segment index, row range).
     let mut runs: Vec<(u32, usize, usize, usize)> = Vec::new();
     for (s, seg) in segs.iter().enumerate() {
@@ -1282,7 +1284,7 @@ fn usage_series_from_columns(
         }
     }
 
-    let mut out: Vec<(MachineId, [TimeSeries; 3])> = Vec::new();
+    let mut out: Vec<(MachineId, MachineUsage)> = Vec::new();
     let mut idx = 0;
     while idx < runs.len() {
         let (machine, first_seg, first_row, _) = runs[idx];
@@ -1325,15 +1327,8 @@ fn usage_series_from_columns(
             }
             vals
         };
-        let (cpu, mem, disk) = (metric(2), metric(3), metric(4));
-        out.push((
-            MachineId::new(machine),
-            [
-                TimeSeries::from_sorted_parts(times.clone(), cpu),
-                TimeSeries::from_sorted_parts(times.clone(), mem),
-                TimeSeries::from_sorted_parts(times, disk),
-            ],
-        ));
+        let values = [metric(2), metric(3), metric(4)];
+        out.push((MachineId::new(machine), MachineUsage { times, values }));
         idx = end;
     }
     Ok(out)

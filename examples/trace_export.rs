@@ -27,20 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Flatten the dataset back into the four v2017 tables.
     let tasks: Vec<BatchTaskRecord> = dataset.task_records().copied().collect();
     let instances: Vec<BatchInstanceRecord> = dataset.instance_records().to_vec();
-    let usage: Vec<ServerUsageRecord> = dataset
-        .machines()
-        .flat_map(|m| {
-            let cpu = m.usage(batchlens::trace::Metric::Cpu);
-            let times: Vec<_> = cpu.map(|s| s.times().to_vec()).unwrap_or_default();
-            times.into_iter().filter_map(move |t| {
-                m.util_at(t).map(|util| ServerUsageRecord {
-                    time: t,
-                    machine: m.id(),
-                    util,
-                })
-            })
-        })
-        .collect();
+    let usage: Vec<ServerUsageRecord> = dataset.usage_records();
     let events: Vec<MachineEventRecord> = dataset.machine_events().to_vec();
 
     // Serialize.

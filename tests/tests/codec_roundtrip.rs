@@ -309,29 +309,14 @@ fn wal_truncation_detected_at_every_boundary() {
 fn simulated_dataset_round_trips() {
     use batchlens::sim::{SimConfig, Simulation};
     use batchlens::trace::stats::DatasetStats;
-    use batchlens::trace::{Metric, TraceDatasetBuilder};
+    use batchlens::trace::TraceDatasetBuilder;
 
     let ds = Simulation::new(SimConfig::small(314)).run().unwrap();
     let before = DatasetStats::compute(&ds);
 
     let tasks: Vec<_> = ds.task_records().copied().collect();
     let instances = ds.instance_records().to_vec();
-    let usage: Vec<ServerUsageRecord> = ds
-        .machines()
-        .flat_map(|m| {
-            let times = m
-                .usage(Metric::Cpu)
-                .map(|s| s.times().to_vec())
-                .unwrap_or_default();
-            times.into_iter().filter_map(move |t| {
-                m.util_at(t).map(|util| ServerUsageRecord {
-                    time: t,
-                    machine: m.id(),
-                    util,
-                })
-            })
-        })
-        .collect();
+    let usage = ds.usage_records();
     let events = ds.machine_events().to_vec();
 
     let task_text = csv::write_batch_tasks(&tasks);

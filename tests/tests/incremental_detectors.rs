@@ -100,7 +100,7 @@ proptest! {
     ) {
         let window = TimeRange::new(Timestamp::new(start), Timestamp::new(start + dur)).unwrap();
         let det = SpikeDetector::new();
-        let incremental = det.match_spike(&series, &window);
+        let incremental = det.match_spike(series.view(), &window);
         let scanned = reference::match_spike(&det, &series, &window);
         prop_assert_eq!(incremental, scanned);
     }
@@ -114,7 +114,7 @@ proptest! {
         mem in irregular_series(),
     ) {
         let det = ThrashingDetector::new();
-        prop_assert_eq!(det.detect(&cpu, &mem), reference::thrashing(&det, &cpu, &mem));
+        prop_assert_eq!(det.detect(cpu.view(), mem.view()), reference::thrashing(&det, &cpu, &mem));
     }
 
     /// The spike state emits its span exactly once, and only after the
