@@ -6,10 +6,11 @@
 //! cost a re-parse and resident memory must not be bounded by the corpus.
 //! This module provides the storage half of that story:
 //!
-//! * [`SegmentWriter`] sorts each record family (`batch_task`,
+//! * [`SegmentWriter`] takes each record family (`batch_task`,
 //!   `batch_instance`, `server_usage`, `machine_events`, plus the machine
-//!   capacity table) by its family key and writes fixed-layout
-//!   little-endian **columnar** segment files of bounded row count,
+//!   capacity table) already in its family's sort order and writes
+//!   fixed-layout little-endian **columnar** segment files of bounded row
+//!   count,
 //! * [`SegmentReader`] memory-maps a segment (with a portable buffered
 //!   fallback) and serves zero-copy sorted column scans,
 //! * [`TraceDataset::open`] is the second construction path next to the
@@ -20,8 +21,8 @@
 //!   machine's time grid and three value columns directly — no record
 //!   materialization, and the verified grid is moved in, not copied —
 //!   and the sorted tables feed a trusted build that skips the builder's
-//!   re-sorts. The writer sorts every family, so a store whose checksums
-//!   pass but whose rows are out of order is hand-made or tampered:
+//!   re-sorts. A store whose checksums pass but whose rows are out of
+//!   order was hand-made, tampered with, or written from unsorted rows:
 //!   opening it is a typed [`TraceError::CorruptSegment`] naming the
 //!   segment and the row's leading key cell, never a dataset.
 //!
@@ -58,8 +59,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::wal::{crc32, put_f64, put_i64, put_u32, put_u64, Cursor};
 use crate::dataset::MachineUsage;
+use crate::wal::{crc32, put_f64, put_i64, put_u32, put_u64, Cursor};
 use crate::{
     BatchInstanceRecord, BatchTaskRecord, JobId, MachineEvent, MachineEventRecord, MachineId,
     MachineInfo, ServerUsageRecord, TaskId, TaskStatus, Timestamp, TraceDataset, TraceError,
@@ -365,6 +366,15 @@ pub struct StoreReport {
 /// Writes sorted columnar segments into a directory — the durable half of
 /// the trace store.
 ///
+/// # Row order
+///
+/// Each `write_*` takes its rows already in the family's sort order (see
+/// [`Family`]) and writes them as given, without a copy or a sort; debug
+/// builds check the order. Rows passed out of order make a store that
+/// [`TraceDataset::open`] rejects with a typed
+/// [`TraceError::CorruptSegment`]. [`dump_dataset`] passes a dataset's
+/// tables, which it already holds in these orders.
+///
 /// # Durability contract
 ///
 /// A segment is **sealed** once `write_*` returns: its bytes are flushed
@@ -414,41 +424,38 @@ impl SegmentWriter {
         self.segments_written
     }
 
-    /// Writes the `batch_task` family (sorted by `(job, task)`); returns
-    /// the number of segments written.
+    /// Writes the `batch_task` family; `rows` ascend by `(job, task)`.
+    /// Returns the number of segments written.
     pub fn write_tasks(&mut self, rows: &[BatchTaskRecord]) -> Result<usize, TraceError> {
-        let mut sorted = rows.to_vec();
-        sorted.sort_by_key(|r| (r.job, r.task));
+        debug_assert!(rows.is_sorted_by_key(|r| (r.job, r.task)));
         self.write_family(
             Family::BatchTask,
-            &sorted,
+            rows,
             |r| job_task_key(r.job, r.task),
-            {
-                |out: &mut Vec<u8>, rows: &[BatchTaskRecord], c: usize| {
-                    for r in rows {
-                        match c {
-                            0 => put_i64(out, r.create_time.seconds()),
-                            1 => put_i64(out, r.modify_time.seconds()),
-                            2 => put_u32(out, u32::from(r.job)),
-                            3 => put_u32(out, u32::from(r.task)),
-                            4 => put_u32(out, r.instance_count),
-                            5 => put_u32(out, status_code(r.status)),
-                            6 => put_f64(out, r.plan_cpu),
-                            _ => put_f64(out, r.plan_mem),
-                        }
+            |out: &mut Vec<u8>, rows: &[BatchTaskRecord], c: usize| {
+                for r in rows {
+                    match c {
+                        0 => put_i64(out, r.create_time.seconds()),
+                        1 => put_i64(out, r.modify_time.seconds()),
+                        2 => put_u32(out, u32::from(r.job)),
+                        3 => put_u32(out, u32::from(r.task)),
+                        4 => put_u32(out, r.instance_count),
+                        5 => put_u32(out, status_code(r.status)),
+                        6 => put_f64(out, r.plan_cpu),
+                        _ => put_f64(out, r.plan_mem),
                     }
                 }
             },
         )
     }
 
-    /// Writes the `batch_instance` family (sorted by `(job, task, seq)`).
+    /// Writes the `batch_instance` family; `rows` ascend by `(job, task,
+    /// seq)`.
     pub fn write_instances(&mut self, rows: &[BatchInstanceRecord]) -> Result<usize, TraceError> {
-        let mut sorted = rows.to_vec();
-        sorted.sort_by_key(|r| (r.job, r.task, r.seq));
+        debug_assert!(rows.is_sorted_by_key(|r| (r.job, r.task, r.seq)));
         self.write_family(
             Family::BatchInstance,
-            &sorted,
+            rows,
             |r| job_task_key(r.job, r.task),
             |out: &mut Vec<u8>, rows: &[BatchInstanceRecord], c: usize| {
                 for r in rows {
@@ -471,17 +478,17 @@ impl SegmentWriter {
         )
     }
 
-    /// Writes the `server_usage` family (sorted by `(machine, time)`,
-    /// keyed by machine). Machine-major order means the merged stream at
-    /// open time is already grouped per machine — the series build slices
+    /// Writes the `server_usage` family; `rows` ascend by `(machine,
+    /// time)`, as [`TraceDataset::usage_records`] returns them (segments
+    /// are keyed by machine). Machine-major order means the merged stream
+    /// at open time is already grouped per machine — the usage build slices
     /// it linearly instead of re-bucketing a time-major stream row by row.
     /// Utilization fractions round-trip bit-exactly (stored as raw f64).
     pub fn write_usage(&mut self, rows: &[ServerUsageRecord]) -> Result<usize, TraceError> {
-        let mut sorted = rows.to_vec();
-        sorted.sort_by_key(|r| (r.machine, r.time));
+        debug_assert!(rows.is_sorted_by_key(|r| (r.machine, r.time)));
         self.write_family(
             Family::ServerUsage,
-            &sorted,
+            rows,
             |r| i64::from(u32::from(r.machine)),
             |out: &mut Vec<u8>, rows: &[ServerUsageRecord], c: usize| {
                 for r in rows {
@@ -497,13 +504,13 @@ impl SegmentWriter {
         )
     }
 
-    /// Writes the `machine_events` family (sorted by `(time, machine)`).
+    /// Writes the `machine_events` family; `rows` ascend by `(time,
+    /// machine)`.
     pub fn write_events(&mut self, rows: &[MachineEventRecord]) -> Result<usize, TraceError> {
-        let mut sorted = rows.to_vec();
-        sorted.sort_by_key(|r| (r.time, r.machine));
+        debug_assert!(rows.is_sorted_by_key(|r| (r.time, r.machine)));
         self.write_family(
             Family::MachineEvents,
-            &sorted,
+            rows,
             |r| r.time.seconds(),
             |out: &mut Vec<u8>, rows: &[MachineEventRecord], c: usize| {
                 for r in rows {
@@ -520,16 +527,15 @@ impl SegmentWriter {
         )
     }
 
-    /// Writes the machine capacity table (sorted by machine id).
+    /// Writes the machine capacity table; `rows` ascend by machine id.
     pub fn write_machines(
         &mut self,
         rows: &[(MachineId, MachineInfo)],
     ) -> Result<usize, TraceError> {
-        let mut sorted = rows.to_vec();
-        sorted.sort_by_key(|r| r.0);
+        debug_assert!(rows.is_sorted_by_key(|r| r.0));
         self.write_family(
             Family::Machines,
-            &sorted,
+            rows,
             |r| i64::from(u32::from(r.0)),
             |out: &mut Vec<u8>, rows: &[(MachineId, MachineInfo)], c: usize| {
                 for (m, info) in rows {
@@ -1210,9 +1216,9 @@ pub fn dump_dataset_with(
 }
 
 /// Concatenates one family's decoded runs in segment order, checking the
-/// family's sort key on the way. The writer seals consecutive sorted
-/// chunks, so for any store it wrote the concatenation *is* the sorted
-/// table; the first row that breaks the order is
+/// family's sort key on the way. The writer seals consecutive chunks of
+/// sorted rows, so for any store it wrote the concatenation *is* the
+/// sorted table; the first row that breaks the order is
 /// [`TraceError::CorruptSegment`] in the segment that holds it.
 fn concat_runs<T: Copy, K: Ord>(
     runs: Vec<(&SegmentReader, Vec<T>)>,
