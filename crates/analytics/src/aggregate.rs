@@ -207,8 +207,8 @@ pub fn running_instances_series(ds: &TraceDataset, step: batchlens_trace::TimeDe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batchlens_sim::scenario;
-    use batchlens_trace::TimeDelta;
+    use batchlens_sim::{scenario, SimConfig, Simulation};
+    use batchlens_trace::{naive, TimeDelta};
 
     #[test]
     fn fig2_lines_cover_all_nodes() {
@@ -255,6 +255,44 @@ mod tests {
         let sliced = tl.slice(&half);
         assert!(sliced.cpu.len() < tl.cpu.len());
         assert_eq!(tl.metric(Metric::Cpu), &tl.cpu);
+    }
+
+    /// The timeline against its reference. On a cluster wider than one
+    /// 64-machine chunk, each metric's series is `naive::mean_of` over the
+    /// machines' usage (same grid, values within 1e-9 relative) and the
+    /// three series share one grid; at one chunk or less each series is the
+    /// serial `TimeSeries::mean_of`, bit for bit.
+    #[test]
+    fn cluster_timeline_matches_the_naive_mean_of_usage() {
+        for machines in [150, 40] {
+            let mut cfg = SimConfig::small(5);
+            cfg.machines = machines;
+            let ds = Simulation::new(cfg).run().unwrap();
+            let tl = ClusterTimeline::build(&ds);
+            assert_eq!(tl.cpu.times(), tl.mem.times());
+            assert_eq!(tl.cpu.times(), tl.disk.times());
+            for metric in Metric::ALL {
+                let usage: Vec<SeriesView<'_>> =
+                    ds.machines().filter_map(|m| m.usage(metric)).collect();
+                assert_eq!(usage.len(), machines as usize);
+                let series = tl.metric(metric);
+                let reference = naive::mean_of(usage.iter().copied());
+                assert_eq!(series.times(), reference.times(), "{metric:?}");
+                for (a, b) in series.values().iter().zip(reference.values()) {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+                        "{metric:?}: {a} vs {b}"
+                    );
+                }
+                if usage.len() <= 64 {
+                    let serial = TimeSeries::mean_of(usage.iter().copied());
+                    assert_eq!(series.times(), serial.times());
+                    let bits = |s: &TimeSeries| s.values().iter().map(|v| v.to_bits()).collect();
+                    let (got, want): (Vec<u64>, Vec<u64>) = (bits(series), bits(&serial));
+                    assert_eq!(got, want, "{metric:?}");
+                }
+            }
+        }
     }
 
     #[test]
