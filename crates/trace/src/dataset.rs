@@ -3,10 +3,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    alive_at_checkpoints, seek_machine, BatchInstanceRecord, BatchTaskRecord, DatasetQuery,
-    InstanceId, IntervalIndex, JobId, MachineEvent, MachineEventRecord, MachineId, Metric,
-    QueryFrame, SeriesView, ServerUsageRecord, TaskId, TimeRange, Timestamp, TraceError,
-    UtilizationTriple,
+    alive_at_checkpoints, BatchInstanceRecord, BatchTaskRecord, InstanceId, IntervalIndex, JobId,
+    MachineEvent, MachineEventRecord, MachineId, Metric, SeriesView, ServerUsageRecord, TaskId,
+    TimeRange, Timestamp, TraceError, UtilizationTriple,
 };
 
 /// A fully indexed, immutable trace: the substrate every BatchLens view
@@ -18,10 +17,12 @@ use crate::{
 ///
 /// * the **batch hierarchy** — jobs → tasks → instances, each instance pinned
 ///   to one machine,
-/// * the **machine table** — capacities and lifecycle events,
-/// * the **usage** — per machine, one time grid and a CPU, memory and disk
-///   value column on it, read per [`Metric`] as a borrowed
-///   [`SeriesView`] ([`MachineView::usage`]).
+/// * the **machine table** — one entry per machine, holding its capacities,
+///   its placements and their interval index, its liveness checkpoints and
+///   its usage: one time grid and a CPU, memory and disk value column on it,
+///   read per [`Metric`] as a borrowed [`SeriesView`]
+///   ([`MachineView::usage`]),
+/// * the lifecycle events, in time order.
 ///
 /// It holds each fact once. A `server_usage` row is one instant and three
 /// values, so a machine's three metrics share one grid by construction and
@@ -30,18 +31,16 @@ use crate::{
 /// instances are one run of it, found with two binary searches.
 ///
 /// All accessors are `O(log n)` or better thanks to the indexes built at
-/// construction time.
+/// construction time; a [`MachineView`] borrows its machine's entry, so its
+/// accessors search no map.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceDataset {
     tasks: BTreeMap<(JobId, TaskId), BatchTaskRecord>,
     /// Every instance, ascending by `(job, task, seq)`.
     instances: Vec<BatchInstanceRecord>,
-    /// machine → indices into `instances`.
-    machine_instances: BTreeMap<MachineId, Vec<usize>>,
-    machines: BTreeMap<MachineId, MachineInfo>,
+    /// The machine table, ascending by id.
+    machines: BTreeMap<MachineId, Machine>,
     machine_events: Vec<MachineEventRecord>,
-    /// machine → its usage grid and `[cpu, mem, disk]` columns.
-    usage: BTreeMap<MachineId, MachineUsage>,
     /// Interval index over every instance's execution window; payload ids
     /// are indices into `instances`.
     instance_index: IntervalIndex,
@@ -49,13 +48,26 @@ pub struct TraceDataset {
     /// instance windows merged at build time); payload ids are raw job ids.
     /// A stab reports every running job exactly once — no per-query dedup.
     job_intervals: IntervalIndex,
-    /// Per-machine interval index over that machine's instance windows.
-    machine_intervals: BTreeMap<MachineId, IntervalIndex>,
-    /// machine → sorted `(event time, alive afterwards)` checkpoints, for
-    /// O(log n) liveness lookups.
-    liveness: BTreeMap<MachineId, Vec<(Timestamp, bool)>>,
     /// The union time span, precomputed at build time.
     cached_span: Option<TimeRange>,
+}
+
+/// Everything the dataset knows about one machine: one entry of the
+/// machine table.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Machine {
+    info: MachineInfo,
+    /// Indices into the instance table of the instances placed here,
+    /// ascending.
+    instances: Vec<usize>,
+    /// Interval index over those instances' windows; payload ids are
+    /// indices into the instance table.
+    intervals: IntervalIndex,
+    /// Sorted `(event time, alive afterwards)` checkpoints, for O(log e)
+    /// liveness lookups.
+    liveness: Vec<(Timestamp, bool)>,
+    /// The usage grid and columns, or `None` without usage rows.
+    usage: Option<MachineUsage>,
 }
 
 /// One machine's `server_usage` samples: one strictly ascending time grid
@@ -319,9 +331,10 @@ impl TraceDatasetBuilder {
             }
             by_machine
         });
+        let mut placements: BTreeMap<MachineId, Vec<usize>> = BTreeMap::new();
         for by_machine in grouped {
             for (key, idxs) in by_machine {
-                ds.machine_instances.entry(key).or_default().extend(idxs);
+                placements.entry(key).or_default().extend(idxs);
             }
         }
         ds.instances = instances;
@@ -374,14 +387,13 @@ impl TraceDatasetBuilder {
             };
             Ok((*machine, usage))
         })?;
-        ds.usage = built.into_iter().collect();
 
         // Add events in input order, so the first Add of a machine wins.
         ds.machines = machine_table(
             self.declared_machines.clone(),
             &self.machine_events,
-            &ds.instances,
-            &ds.usage,
+            placements,
+            built,
         );
         let mut events = self.machine_events.clone();
         events.sort_by_key(|e| (e.time, e.machine));
@@ -463,21 +475,16 @@ impl TraceDataset {
         }
         // Grouping: the per-machine lists collect ascending indices —
         // exactly what the builder's chunk-merged maps hold.
+        let mut placements: BTreeMap<MachineId, Vec<usize>> = BTreeMap::new();
         for (idx, rec) in t.instances.iter().enumerate() {
-            ds.machine_instances
-                .entry(rec.machine)
-                .or_default()
-                .push(idx);
+            placements.entry(rec.machine).or_default().push(idx);
         }
         ds.instances = t.instances;
 
         // Usage arrives as finished per-machine grids and columns (built
-        // straight from the store's machine-major columns),
-        // machine-ascending.
-        ds.usage = t.usage.into_iter().collect();
-
-        // Add events in `(time, machine)` order, as the store reads them.
-        ds.machines = machine_table(t.machines, &t.events, &ds.instances, &ds.usage);
+        // straight from the store's machine-major columns). Add events in
+        // `(time, machine)` order, as the store reads them.
+        ds.machines = machine_table(t.machines, &t.events, placements, t.usage);
         // Events arrive `(time, machine)`-sorted — the builder's sort is
         // a verified no-op here.
         ds.machine_events = t.events;
@@ -494,26 +501,37 @@ impl TraceDataset {
 /// series). A machine that only ever emitted a Remove/error event is still
 /// a machine the trace knows about — its liveness checkpoints must be
 /// reachable through the machine table, and the live-window view counts it
-/// identically.
+/// identically. Each machine's placements (ascending instance indices) and
+/// usage move into its entry; [`TraceDataset::build_indexes`] fills in the
+/// rest.
 fn machine_table(
     declared: impl IntoIterator<Item = (MachineId, MachineInfo)>,
     events: &[MachineEventRecord],
-    instances: &[BatchInstanceRecord],
-    usage: &BTreeMap<MachineId, MachineUsage>,
-) -> BTreeMap<MachineId, MachineInfo> {
-    let mut machines = BTreeMap::new();
-    machines.extend(declared);
+    placements: BTreeMap<MachineId, Vec<usize>>,
+    usage: Vec<(MachineId, MachineUsage)>,
+) -> BTreeMap<MachineId, Machine> {
+    let entry = |info| Machine {
+        info,
+        ..Machine::default()
+    };
+    let declared = declared.into_iter().map(|(id, info)| (id, entry(info)));
+    let mut machines: BTreeMap<MachineId, Machine> = declared.collect();
     for ev in events.iter().filter(|ev| ev.event == MachineEvent::Add) {
-        machines.entry(ev.machine).or_insert(MachineInfo {
+        let info = MachineInfo {
             capacity_cpu: ev.capacity_cpu,
             capacity_mem: ev.capacity_mem,
             capacity_disk: ev.capacity_disk,
-        });
+        };
+        machines.entry(ev.machine).or_insert_with(|| entry(info));
     }
-    let referenced = events.iter().map(|ev| ev.machine);
-    let referenced = referenced.chain(instances.iter().map(|rec| rec.machine));
-    for machine in referenced.chain(usage.keys().copied()) {
-        machines.entry(machine).or_default();
+    for ev in events {
+        machines.entry(ev.machine).or_default();
+    }
+    for (id, instances) in placements {
+        machines.entry(id).or_default().instances = instances;
+    }
+    for (id, usage) in usage {
+        machines.entry(id).or_default().usage = Some(usage);
     }
     machines
 }
@@ -567,25 +585,17 @@ fn par_sorted_instances(input: &[BatchInstanceRecord], threads: usize) -> Vec<Ba
     out
 }
 
-/// One independent index-construction task of
-/// [`TraceDataset::build_indexes`], fanned out across the build pool.
-enum IndexPart {
-    Instances(IntervalIndex),
-    Jobs(IntervalIndex),
-    Liveness(BTreeMap<MachineId, Vec<(Timestamp, bool)>>),
-    Span(Option<TimeRange>),
-}
-
 impl TraceDataset {
     /// Builds the query indexes (interval stabbing, liveness, span) from the
     /// validated tables. Called as the last step of both constructors,
     /// which sort the instance table by `(job, task, seq)` (see
     /// [`TraceDataset`]); debug builds check that order here.
     ///
-    /// The three global index families and the span are independent tasks,
-    /// and the per-machine interval indexes additionally fan out one task
-    /// per machine; every task reads the immutable tables and writes only
-    /// its own result, so the indexes are identical at any thread count.
+    /// The two global interval indexes and each machine's interval index
+    /// are independent tasks, fanned out across the build pool; every task
+    /// reads the immutable tables and writes only its own result, so the
+    /// indexes are identical at any thread count. The span and the
+    /// liveness checkpoints are filled in afterwards, in one pass each.
     fn build_indexes(&mut self, threads: usize) {
         debug_assert!(
             self.instances
@@ -593,75 +603,42 @@ impl TraceDataset {
                 .all(|w| (w[0].job, w[0].task, w[0].seq) < (w[1].job, w[1].task, w[1].seq)),
             "instances ascend by (job, task, seq)"
         );
-        let parts = batchlens_exec::run_indexed(threads, 4, |part| match part {
-            0 => IndexPart::Instances(IntervalIndex::build(
-                self.instances
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, rec)| (rec.start_time, rec.end_time, idx as u32)),
-            )),
-            1 => IndexPart::Jobs(self.build_job_intervals()),
-            2 => {
-                // Liveness checkpoints: events are already time-sorted; the
-                // alive rule is `MachineEvent::keeps_alive`. Several events
-                // at one instant merge **dead-wins** (alive iff every one
-                // keeps the machine alive) — an arrival-order-independent
-                // tie-break the online rolling checkpoints apply
-                // identically.
-                let mut liveness: BTreeMap<MachineId, Vec<(Timestamp, bool)>> = BTreeMap::new();
-                for ev in &self.machine_events {
-                    let alive = ev.event.keeps_alive();
-                    let checkpoints = liveness.entry(ev.machine).or_default();
-                    match checkpoints.last_mut() {
-                        Some((t, a)) if *t == ev.time => *a = *a && alive,
-                        _ => checkpoints.push((ev.time, alive)),
-                    }
-                }
-                IndexPart::Liveness(liveness)
-            }
-            _ => {
-                // Union span of instance windows and usage grids.
-                let mut span: Option<TimeRange> = None;
-                let mut merge = |r: TimeRange| {
-                    span = Some(match span {
-                        Some(s) => s.union(&r),
-                        None => r,
-                    });
-                };
-                for rec in &self.instances {
-                    if let Ok(w) = rec.window() {
-                        merge(w);
-                    }
-                }
-                for usage in self.usage.values() {
-                    if let Some(s) = usage.view(Metric::Cpu).span() {
-                        merge(s);
-                    }
-                }
-                IndexPart::Span(span)
-            }
+        let machines: Vec<&Machine> = self.machines.values().collect();
+        let window = |idx: usize| {
+            let rec = &self.instances[idx];
+            (rec.start_time, rec.end_time, idx as u32)
+        };
+        let indexes = batchlens_exec::run_indexed(threads, machines.len() + 2, |part| match part {
+            0 => IntervalIndex::build((0..self.instances.len()).map(window)),
+            1 => self.build_job_intervals(),
+            _ => IntervalIndex::build(machines[part - 2].instances.iter().map(|&i| window(i))),
         });
-        for part in parts {
-            match part {
-                IndexPart::Instances(ix) => self.instance_index = ix,
-                IndexPart::Jobs(ix) => self.job_intervals = ix,
-                IndexPart::Liveness(l) => self.liveness = l,
-                IndexPart::Span(s) => self.cached_span = s,
-            }
+        let mut indexes = indexes.into_iter();
+        self.instance_index = indexes.next().expect("the instance index");
+        self.job_intervals = indexes.next().expect("the job index");
+        for (machine, index) in self.machines.values_mut().zip(indexes) {
+            machine.intervals = index;
         }
 
-        // Per-machine interval trees: one task per machine.
-        let machine_rows: Vec<(&MachineId, &Vec<usize>)> = self.machine_instances.iter().collect();
-        self.machine_intervals = batchlens_exec::run_indexed(threads, machine_rows.len(), |i| {
-            let (&machine, idxs) = machine_rows[i];
-            let index = IntervalIndex::build(idxs.iter().map(|&idx| {
-                let rec = &self.instances[idx];
-                (rec.start_time, rec.end_time, idx as u32)
-            }));
-            (machine, index)
-        })
-        .into_iter()
-        .collect();
+        // Union span of instance windows and usage grids.
+        let windows = self.instances.iter().filter_map(|rec| rec.window().ok());
+        let usage = self.machines.values().filter_map(|m| m.usage.as_ref());
+        let grids = usage.filter_map(|usage| usage.view(Metric::Cpu).span());
+        self.cached_span = windows.chain(grids).reduce(|a, b| a.union(&b));
+
+        // Liveness checkpoints: events are already time-sorted; the alive
+        // rule is `MachineEvent::keeps_alive`. Several events at one
+        // instant merge **dead-wins** (alive iff every one keeps the
+        // machine alive) — an arrival-order-independent tie-break the
+        // online rolling checkpoints apply identically.
+        for ev in &self.machine_events {
+            let alive = ev.event.keeps_alive();
+            let checkpoints = &mut self.machines.entry(ev.machine).or_default().liveness;
+            match checkpoints.last_mut() {
+                Some((t, a)) if *t == ev.time => *a = *a && alive,
+                _ => checkpoints.push((ev.time, alive)),
+            }
+        }
     }
 
     /// Merges each job's instance windows into disjoint intervals so a stab
@@ -762,16 +739,21 @@ impl TraceDataset {
 
     /// Iterates over all machines in id order.
     pub fn machines(&self) -> impl Iterator<Item = MachineView<'_>> + '_ {
-        self.machines
-            .keys()
-            .map(move |&id| MachineView { ds: self, id })
+        self.machines.iter().map(move |(&id, machine)| MachineView {
+            ds: self,
+            id,
+            machine,
+        })
     }
 
     /// Looks up one machine.
     pub fn machine(&self, id: MachineId) -> Option<MachineView<'_>> {
-        self.machines
-            .contains_key(&id)
-            .then_some(MachineView { ds: self, id })
+        let machine = self.machines.get(&id)?;
+        Some(MachineView {
+            ds: self,
+            id,
+            machine,
+        })
     }
 
     /// Number of machines (declared, added or referenced).
@@ -827,9 +809,10 @@ impl TraceDataset {
     /// point `i` and the three values on it, clamped as the builder clamps
     /// a row.
     pub fn usage_records(&self) -> Vec<ServerUsageRecord> {
-        self.usage
+        self.machines
             .iter()
-            .flat_map(|(&machine, usage)| {
+            .filter_map(|(&machine, m)| Some((machine, m.usage.as_ref()?)))
+            .flat_map(|(machine, usage)| {
                 usage
                     .times
                     .iter()
@@ -841,35 +824,6 @@ impl TraceDataset {
                     })
             })
             .collect()
-    }
-
-    /// The body of this dataset's [`DatasetQuery::frame`]: one ordered
-    /// pass over the machine table that walks the liveness checkpoints and
-    /// the usage in step with it (all three ascend by machine id), instead
-    /// of a map search in each per machine. A machine's utilization is read
-    /// from its three columns at the index one guessed search finds on its
-    /// grid.
-    pub(crate) fn capture_frame(&self, at: Timestamp) -> QueryFrame {
-        let machines: Vec<MachineId> = self.machines.keys().copied().collect();
-        let mut alive = Vec::with_capacity(machines.len());
-        let mut utils = Vec::with_capacity(machines.len());
-        let mut liveness = self.liveness.iter().peekable();
-        let mut usage = self.usage.iter().peekable();
-        for &machine in &machines {
-            alive.push(
-                seek_machine(&mut liveness, machine)
-                    .is_none_or(|checkpoints| alive_at_checkpoints(checkpoints, at)),
-            );
-            utils.push(seek_machine(&mut usage, machine).and_then(|u| u.util_at_or_before(at)));
-        }
-        QueryFrame::new(
-            at,
-            self.state_version(),
-            self.running_triples_at(at),
-            machines,
-            alive,
-            utils,
-        )
     }
 
     fn instance_by_idx(&self, idx: usize) -> InstanceRef<'_> {
@@ -1029,11 +983,14 @@ impl InstanceRef<'_> {
     }
 }
 
-/// Borrowed view of one machine: capacities, placements and usage series.
+/// Borrowed view of one machine: capacities, placements, liveness and
+/// usage series. It holds a reference to the machine's entry of the
+/// machine table, so no accessor searches a map.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineView<'a> {
     ds: &'a TraceDataset,
     id: MachineId,
+    machine: &'a Machine,
 }
 
 impl<'a> MachineView<'a> {
@@ -1044,16 +1001,14 @@ impl<'a> MachineView<'a> {
 
     /// Capacity information.
     pub fn info(&self) -> MachineInfo {
-        self.ds.machines[&self.id]
+        self.machine.info
     }
 
     /// Instances placed on this machine, in `(job, task, seq)` order.
     pub fn instances(&self) -> impl Iterator<Item = InstanceRef<'a>> + 'a {
         let ds = self.ds;
-        ds.machine_instances
-            .get(&self.id)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.machine
+            .instances
             .iter()
             .map(move |&idx| ds.instance_by_idx(idx))
     }
@@ -1062,20 +1017,15 @@ impl<'a> MachineView<'a> {
     /// O(log n + k) via the per-machine interval index.
     pub fn jobs_at(&self, t: Timestamp) -> Vec<JobId> {
         let mut out: BTreeSet<JobId> = BTreeSet::new();
-        if let Some(index) = self.ds.machine_intervals.get(&self.id) {
-            index.stab_with(t, |idx| {
-                out.insert(self.ds.instances[idx as usize].job);
-            });
-        }
+        self.machine.intervals.stab_with(t, |idx| {
+            out.insert(self.ds.instances[idx as usize].job);
+        });
         out.into_iter().collect()
     }
 
     /// How many of this machine's instances are running at `t` — O(log n).
     pub fn running_instances_at(&self, t: Timestamp) -> usize {
-        self.ds
-            .machine_intervals
-            .get(&self.id)
-            .map_or(0, |index| index.count_at(t))
+        self.machine.intervals.count_at(t)
     }
 
     /// The machine's usage series for `metric` as a borrowed view of the
@@ -1084,15 +1034,14 @@ impl<'a> MachineView<'a> {
     /// `times()` slice); a reader that keeps an owned series copies the
     /// window it needs ([`SeriesView::to_owned`]).
     pub fn usage(&self, metric: Metric) -> Option<SeriesView<'a>> {
-        self.ds.usage.get(&self.id).map(|u| u.view(metric))
+        Some(self.machine.usage.as_ref()?.view(metric))
     }
 
     /// The machine's utilization triple at `t` (sample-and-hold), or `None`
-    /// before its first sample. One lookup and one guessed search on the
-    /// machine's grid; the three values at that index are clamped into a
-    /// triple.
+    /// before its first sample. One guessed search on the machine's grid;
+    /// the three values at that index are clamped into a triple.
     pub fn util_at(&self, t: Timestamp) -> Option<UtilizationTriple> {
-        self.ds.usage.get(&self.id)?.util_at_or_before(t)
+        self.machine.usage.as_ref()?.util_at_or_before(t)
     }
 
     /// Whether the machine is alive at `t` according to machine events.
@@ -1103,10 +1052,7 @@ impl<'a> MachineView<'a> {
     /// ([`crate::alive_at_checkpoints`]) — O(log e) in the machine's own
     /// event count, not a scan of the global event table.
     pub fn alive_at(&self, t: Timestamp) -> bool {
-        self.ds
-            .liveness
-            .get(&self.id)
-            .is_none_or(|checkpoints| crate::alive_at_checkpoints(checkpoints, t))
+        alive_at_checkpoints(&self.machine.liveness, t)
     }
 }
 

@@ -352,8 +352,23 @@ impl DatasetQuery for crate::TraceDataset {
         )
     }
 
+    /// One ordered pass over the machine table: each machine's liveness
+    /// and utilization come from its own entry, the utilization from one
+    /// guessed search on its grid.
     fn frame(&self, at: Timestamp) -> QueryFrame {
-        self.capture_frame(at)
+        let n = self.machine_count();
+        let (mut machines, mut alive, mut utils) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for machine in self.machines() {
+            machines.push(machine.id());
+            alive.push(machine.alive_at(at));
+            utils.push(machine.util_at(at));
+        }
+        let triples = self.running_triples_at(at);
+        QueryFrame::new(at, 0, triples, machines, alive, utils)
     }
 }
 
