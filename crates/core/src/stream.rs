@@ -29,7 +29,7 @@
 //! rolling state, taken exactly once per ingest — and pairs with a
 //! `crossbeam` channel for producer/consumer ingest.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::Path;
 
@@ -39,9 +39,9 @@ use batchlens_analytics::detect::{
 };
 use batchlens_trace::wal::{RecoveryReport, WalError, WalReader, WalRecord, WalWriter};
 use batchlens_trace::{
-    seek_machine, BatchInstanceRecord, DatasetQuery, JobId, MachineEventRecord, MachineId, Metric,
-    QueryFrame, RollingIntervalIndex, ServerUsageRecord, TaskId, TimeDelta, TimeRange, TimeSeries,
-    Timestamp, UtilizationTriple,
+    BatchInstanceRecord, DatasetQuery, JobId, MachineEventRecord, MachineId, Metric, QueryFrame,
+    RollingIntervalIndex, ServerUsageRecord, TaskId, TimeDelta, TimeRange, TimeSeries, Timestamp,
+    UtilizationTriple,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -352,7 +352,7 @@ impl DetectorBank {
     }
 }
 
-/// Per-machine rolling state: snapshot window + live detector bank.
+/// Per-machine rolling usage state: snapshot window + live detector bank.
 #[derive(Debug)]
 struct MachineState {
     window: Window,
@@ -360,9 +360,22 @@ struct MachineState {
     last_seen: Option<Timestamp>,
 }
 
-/// The rolling structural indexes of the live window: instance execution
-/// intervals and machine liveness, maintained incrementally on every ingest
-/// and queried through [`LiveWindowView`].
+/// Everything the monitor knows about one machine: one entry of its
+/// machine table. A machine has an entry once any delivery names it.
+#[derive(Debug, Default)]
+struct Machine {
+    /// The usage state, once the machine has reported usage. Boxed, so
+    /// each map value stays 32 bytes: the per-record lookup of the usage
+    /// step and the frame's pass walk small map nodes.
+    usage: Option<Box<MachineState>>,
+    /// `(event time, alive afterwards)` checkpoints, kept time-sorted under
+    /// bounded out-of-order event arrival — the rolling twin of the batch
+    /// dataset's liveness checkpoints.
+    liveness: Vec<(Timestamp, bool)>,
+}
+
+/// The rolling instance index of the live window, maintained incrementally
+/// on every ingest and queried through [`LiveWindowView`].
 #[derive(Debug, Default)]
 struct LiveIndexes {
     /// Instance execution windows over the live window; payload ids index
@@ -375,13 +388,6 @@ struct LiveIndexes {
     free_ids: Vec<u32>,
     /// Started-but-unfinished instances: `(job, task, seq)` → rolling id.
     open_instances: BTreeMap<(JobId, TaskId, u32), u32>,
-    /// Per-machine `(event time, alive afterwards)` checkpoints, kept
-    /// time-sorted under bounded out-of-order event arrival — the rolling
-    /// twin of the batch dataset's liveness index.
-    liveness: BTreeMap<MachineId, Vec<(Timestamp, bool)>>,
-    /// Machines known from instance placements or lifecycle events (usage
-    /// reporters live in `Inner::machines`).
-    known_machines: BTreeSet<MachineId>,
     /// Event-time high-water mark across structural ingests; eviction
     /// trails it by the horizon.
     frontier: Option<Timestamp>,
@@ -477,10 +483,15 @@ fn epoch_group(
         .chain(std::iter::once(WalRecord::EpochSealed(epoch)))
 }
 
-/// Everything the monitor mutates, behind one lock.
+/// Everything the monitor mutates, behind one lock: the machine table
+/// (each machine's usage window, detector bank and liveness checkpoints in
+/// one entry), the rolling instance index, the counters, the retained
+/// alerts and the WAL.
 #[derive(Debug, Default)]
 struct Inner {
-    machines: BTreeMap<MachineId, MachineState>,
+    /// The machine table, ascending by id: every machine a usage record,
+    /// an instance placement or a lifecycle event has named.
+    machines: BTreeMap<MachineId, Machine>,
     live: LiveIndexes,
     /// Bumped on **every** mutation that could change a query answer
     /// (accepted usage, structural ingest, lifecycle events — not on
@@ -552,30 +563,6 @@ impl Inner {
         }
     }
 
-    /// Every machine the monitor knows, ascending, each once, with its
-    /// usage state when it reports: `live.known_machines` merged with the
-    /// keys of `machines` in one pass.
-    fn all_machines(&self) -> impl Iterator<Item = (MachineId, Option<&MachineState>)> + '_ {
-        let mut structural = self.live.known_machines.iter().copied().peekable();
-        let mut reporting = self.machines.iter().peekable();
-        std::iter::from_fn(move || {
-            let next_reporting = reporting.peek().map(|&(&id, _)| id);
-            match (structural.peek().copied(), next_reporting) {
-                (Some(id), r) if r.is_none_or(|r| id < r) => {
-                    structural.next();
-                    Some((id, None))
-                }
-                (s, Some(id)) => {
-                    if s == Some(id) {
-                        structural.next();
-                    }
-                    reporting.next().map(|(_, state)| (id, Some(state)))
-                }
-                _ => None,
-            }
-        })
-    }
-
     /// Retained anomaly alerts per machine, parallel to the ascending
     /// `machines`. Counts over the retained alert buffer (the same alerts
     /// `alerts_since` serves), so a frame's sidebar overlay agrees exactly
@@ -591,10 +578,17 @@ impl Inner {
     }
 }
 
-/// Sample-and-hold utilization from one machine's usage state.
-fn util_of(state: &MachineState, t: Timestamp) -> Option<UtilizationTriple> {
-    let [cpu, mem, disk] = state.window.at_or_before(t)?;
-    Some(UtilizationTriple::clamped(cpu, mem, disk))
+impl Machine {
+    /// Sample-and-hold utilization from the machine's usage window.
+    fn util_at(&self, t: Timestamp) -> Option<UtilizationTriple> {
+        let [cpu, mem, disk] = self.usage.as_ref()?.window.at_or_before(t)?;
+        Some(UtilizationTriple::clamped(cpu, mem, disk))
+    }
+
+    /// Liveness from the machine's checkpoints; alive without any.
+    fn alive_at(&self, t: Timestamp) -> bool {
+        batchlens_trace::alive_at_checkpoints(&self.liveness, t)
+    }
 }
 
 /// The per-query logic of [`LiveWindowView`], implemented as a
@@ -604,7 +598,7 @@ fn util_of(state: &MachineState, t: Timestamp) -> Option<UtilizationTriple> {
 /// answer.
 impl DatasetQuery for Inner {
     fn machine_ids(&self) -> Vec<MachineId> {
-        self.all_machines().map(|(id, _)| id).collect()
+        self.machines.keys().copied().collect()
     }
 
     fn jobs_running_at(&self, t: Timestamp) -> Vec<JobId> {
@@ -627,14 +621,11 @@ impl DatasetQuery for Inner {
     }
 
     fn alive_at(&self, machine: MachineId, t: Timestamp) -> bool {
-        self.live
-            .liveness
-            .get(&machine)
-            .is_none_or(|checkpoints| batchlens_trace::alive_at_checkpoints(checkpoints, t))
+        self.machines.get(&machine).is_none_or(|m| m.alive_at(t))
     }
 
     fn util_at(&self, machine: MachineId, t: Timestamp) -> Option<UtilizationTriple> {
-        util_of(self.machines.get(&machine)?, t)
+        self.machines.get(&machine)?.util_at(t)
     }
 
     fn running_instance_count_at(&self, t: Timestamp) -> usize {
@@ -647,35 +638,27 @@ impl DatasetQuery for Inner {
         metric: Metric,
         window: &TimeRange,
     ) -> Option<TimeSeries> {
-        Some(
-            self.machines
-                .get(&machine)?
-                .window
-                .series_in(metric, window),
-        )
+        let usage = self.machines.get(&machine)?.usage.as_ref()?;
+        Some(usage.window.series_in(metric, window))
     }
 
     fn state_version(&self) -> u64 {
         self.version
     }
 
-    /// One ordered pass: the merged machine universe, with
-    /// `live.liveness` walked in step with it, instead of a map search in
-    /// `liveness` and in `machines` per machine.
+    /// One ordered pass over the machine table, which answers each
+    /// machine's liveness and utilization from its own entry.
     fn frame(&self, at: Timestamp) -> QueryFrame {
-        let capacity = self.machines.len().max(self.live.known_machines.len());
-        let mut machines = Vec::with_capacity(capacity);
-        let mut alive = Vec::with_capacity(capacity);
-        let mut utils = Vec::with_capacity(capacity);
-        let mut liveness = self.live.liveness.iter().peekable();
-        for (machine, state) in self.all_machines() {
-            machines.push(machine);
-            alive.push(
-                seek_machine(&mut liveness, machine).is_none_or(|checkpoints| {
-                    batchlens_trace::alive_at_checkpoints(checkpoints, at)
-                }),
-            );
-            utils.push(state.and_then(|state| util_of(state, at)));
+        let n = self.machines.len();
+        let (mut machines, mut alive, mut utils) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for (&id, machine) in &self.machines {
+            machines.push(id);
+            alive.push(machine.alive_at(at));
+            utils.push(machine.util_at(at));
         }
         let anomalies = self.anomaly_counts(&machines);
         QueryFrame::with_anomalies(
@@ -705,7 +688,7 @@ impl std::fmt::Debug for StreamMonitor {
                 "detectors",
                 &self.detectors.iter().map(|d| d.name()).collect::<Vec<_>>(),
             )
-            .field("tracked_machines", &self.inner.lock().machines.len())
+            .field("tracked_machines", &self.tracked_machines())
             .finish()
     }
 }
@@ -973,8 +956,8 @@ impl StreamMonitor {
         match delivery {
             WalRecord::Usage(rec) => self.apply_usage(inner, rec, alerts),
             WalRecord::Instance(rec) => {
+                inner.machines.entry(rec.machine).or_default();
                 let live = &mut inner.live;
-                live.known_machines.insert(rec.machine);
                 if let Some(id) = live.open_instances.remove(&(rec.job, rec.task, rec.seq)) {
                     live.intervals.remove(id);
                     live.free_ids.push(id);
@@ -994,8 +977,8 @@ impl StreamMonitor {
                 machine,
                 at,
             } => {
+                inner.machines.entry(machine).or_default();
                 let live = &mut inner.live;
-                live.known_machines.insert(machine);
                 if let Some(&id) = live.open_instances.get(&(job, task, seq)) {
                     live.intervals.remove(id);
                     live.free_ids.push(id);
@@ -1022,10 +1005,8 @@ impl StreamMonitor {
                 live.advance(at, self.cfg.horizon);
             }
             WalRecord::MachineEvent(rec) => {
-                let live = &mut inner.live;
-                live.known_machines.insert(rec.machine);
                 let alive = rec.event.keeps_alive();
-                let checkpoints = live.liveness.entry(rec.machine).or_default();
+                let checkpoints = &mut inner.machines.entry(rec.machine).or_default().liveness;
                 // Events sharing a timestamp merge dead-wins — the same
                 // arrival-order-independent tie-break the batch index
                 // applies, so out-of-order delivery of equal-time events
@@ -1041,7 +1022,7 @@ impl StreamMonitor {
                 // decides liveness there. Done per machine on its own (rare)
                 // event arrivals, so advance() stays O(evicted) on the hot
                 // ingest paths.
-                if let Some(frontier) = live.frontier {
+                if let Some(frontier) = inner.live.frontier {
                     let cutoff = frontier - self.cfg.horizon;
                     let keep_from = checkpoints
                         .partition_point(|&(t, _)| t <= cutoff)
@@ -1074,10 +1055,14 @@ impl StreamMonitor {
         let state = inner
             .machines
             .entry(rec.machine)
-            .or_insert_with(|| MachineState {
-                window: Window::default(),
-                bank: DetectorBank::new(&self.detectors, &self.cfg.thrashing_detector()),
-                last_seen: None,
+            .or_default()
+            .usage
+            .get_or_insert_with(|| {
+                Box::new(MachineState {
+                    window: Window::default(),
+                    bank: DetectorBank::new(&self.detectors, &self.cfg.thrashing_detector()),
+                    last_seen: None,
+                })
             });
         if let Some(last) = state.last_seen.filter(|&last| rec.time <= last) {
             // A record exactly `ooo_tolerance` late is still accepted (the
@@ -1262,10 +1247,9 @@ impl StreamMonitor {
     pub fn liveness_checkpoint_count(&self, machine: MachineId) -> usize {
         self.inner
             .lock()
-            .live
-            .liveness
+            .machines
             .get(&machine)
-            .map_or(0, Vec::len)
+            .map_or(0, |m| m.liveness.len())
     }
 
     /// Number of instance intervals currently indexed in the live window
@@ -1344,26 +1328,34 @@ impl StreamMonitor {
 
     /// The latest utilization known for a machine, if any.
     pub fn latest(&self, machine: MachineId) -> Option<[f64; 3]> {
-        self.inner
-            .lock()
+        let inner = self.inner.lock();
+        let (_, util) = inner
             .machines
-            .get(&machine)
-            .and_then(|m| m.window.latest())
-            .map(|(_, u)| u)
+            .get(&machine)?
+            .usage
+            .as_ref()?
+            .window
+            .latest()?;
+        Some(util)
     }
 
     /// The current rolling series for a machine/metric (a snapshot copy).
     pub fn series(&self, machine: MachineId, metric: Metric) -> Option<TimeSeries> {
-        self.inner
-            .lock()
-            .machines
-            .get(&machine)
-            .map(|m| m.window.series(metric))
+        let inner = self.inner.lock();
+        let usage = inner.machines.get(&machine)?.usage.as_ref()?;
+        Some(usage.window.series(metric))
     }
 
-    /// Number of machines currently tracked.
+    /// Number of machines that have reported usage — an O(machines) count
+    /// over the machine table, which also holds machines only placements
+    /// or lifecycle events named.
     pub fn tracked_machines(&self) -> usize {
-        self.inner.lock().machines.len()
+        let inner = self.inner.lock();
+        inner
+            .machines
+            .values()
+            .filter(|m| m.usage.is_some())
+            .count()
     }
 }
 

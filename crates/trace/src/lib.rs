@@ -99,7 +99,7 @@ pub use error::{ParseWarning, TraceError};
 pub use ids::{InstanceId, JobId, MachineId, TaskId};
 pub use interval::{IntervalIndex, RollingIntervalIndex};
 pub use metric::{Metric, Utilization, UtilizationTriple};
-pub use queryable::{alive_at_checkpoints, seek_machine, DatasetQuery, QueryFrame};
+pub use queryable::{alive_at_checkpoints, DatasetQuery, QueryFrame};
 pub use record::{
     BatchInstanceRecord, BatchTaskRecord, InstanceStatus, MachineEvent, MachineEventRecord,
     ServerUsageRecord, TaskStatus,

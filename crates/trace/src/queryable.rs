@@ -10,20 +10,20 @@
 //!
 //! [`DatasetQuery::frame`] captures every answer at one instant as one
 //! [`QueryFrame`]; the hierarchy snapshot and co-allocation index that a
-//! served frame shows are built from it. Each source captures a frame in
-//! one ordered pass over its machine-keyed indexes ([`seek_machine`]), not
-//! by issuing the per-machine queries one by one; those queries stay the
-//! reference the frame is tested against.
+//! served frame shows are built from it. Each source keeps one machine
+//! table, one entry per machine holding its liveness checkpoints and
+//! usage, and captures a frame in one ordered pass over it, not by issuing
+//! the per-machine queries one by one; those queries stay the reference
+//! the frame is tested against.
 //!
 //! Implementations:
 //!
-//! * [`crate::TraceDataset`] (here) — served by the build-time interval /
-//!   liveness indexes, O(log n + k) per query.
+//! * [`crate::TraceDataset`] (here) — served by the build-time interval
+//!   indexes and the machine table, O(log n + k) per query.
 //! * `batchlens::stream::LiveWindowView` (crate `batchlens`) — served by the
-//!   monitor's [`crate::RollingIntervalIndex`] and rolling liveness
-//!   checkpoints over the live window, same bounds, no window re-scan.
-
-use std::iter::Peekable;
+//!   monitor's [`crate::RollingIntervalIndex`] and its machine table of
+//!   rolling liveness checkpoints and usage windows, same bounds, no window
+//!   re-scan.
 
 use crate::{
     JobId, MachineId, Metric, TaskId, TimeRange, TimeSeries, Timestamp, UtilizationTriple,
@@ -41,28 +41,6 @@ pub fn alive_at_checkpoints(checkpoints: &[(Timestamp, bool)], t: Timestamp) -> 
         0 => true,
         n => checkpoints[n - 1].1,
     }
-}
-
-/// Steps `entries`, an iterator over a map keyed by ascending
-/// [`MachineId`], forward to `machine` and returns its value, or `None`
-/// when the map has no entry for it. Called with ascending machines, it
-/// walks the map once in step with them — the ordered pass with which each
-/// source captures a [`QueryFrame`], in place of one map search per
-/// machine.
-pub fn seek_machine<'a, V: 'a>(
-    entries: &mut Peekable<impl Iterator<Item = (&'a MachineId, &'a V)>>,
-    machine: MachineId,
-) -> Option<&'a V> {
-    while let Some(&(&id, value)) = entries.peek() {
-        if id > machine {
-            break;
-        }
-        entries.next();
-        if id == machine {
-            return Some(value);
-        }
-    }
-    None
 }
 
 /// One timestamp's worth of structural queries, captured **transactionally
@@ -294,8 +272,8 @@ pub trait DatasetQuery {
     /// consistent [`QueryFrame`], equal to what the individual queries
     /// answer from the same source state.
     ///
-    /// Each source builds the frame in one ordered pass over its
-    /// machine-keyed indexes. A mutable live source takes its lock **once**
+    /// Each source builds the frame in one ordered pass over its machine
+    /// table. A mutable live source takes its lock **once**
     /// and answers the whole frame under it (the frame consistency
     /// guarantee: hierarchy, co-allocation, utilization, alive-set and
     /// anomaly-count probes derived from one frame can never disagree about
