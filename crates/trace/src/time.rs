@@ -311,21 +311,26 @@ impl TimeRange {
         t.max(self.start).min(self.end)
     }
 
-    /// Iterates over grid points `start, start+step, …` strictly below `end`.
+    /// Iterates over grid points `start, start+step, …` strictly below `end`,
+    /// with an exact `size_hint`. The count and each point are computed in
+    /// `i128`, so a range as wide as `[i64::MIN, i64::MAX)` yields every
+    /// point, and the iteration does one step of work per point.
     ///
     /// # Panics
     ///
     /// Does not panic; a non-positive `step` yields an empty iterator.
-    pub fn steps(&self, step: TimeDelta) -> impl Iterator<Item = Timestamp> + '_ {
-        let start = self.start;
-        let end = self.end;
-        let step_s = step.as_seconds();
-        let count = if step_s > 0 && end > start {
-            ((end - start).as_seconds() + step_s - 1) / step_s
+    pub fn steps(&self, step: TimeDelta) -> impl Iterator<Item = Timestamp> {
+        let start = i128::from(self.start.seconds());
+        let step_s = i128::from(step.as_seconds());
+        let width = i128::from(self.end.seconds()) - start;
+        let count = if step_s > 0 && width > 0 {
+            (width + step_s - 1) / step_s
         } else {
             0
         };
-        (0..count).map(move |i| start + TimeDelta::seconds(i * step_s))
+        // At most 2⁶⁴ − 1 points (a step of 1 s over the widest range), and
+        // every point lies below `end`, so neither cast can truncate.
+        (0..count as u64).map(move |i| Timestamp::new((start + i128::from(i) * step_s) as i64))
     }
 }
 
@@ -436,6 +441,39 @@ mod tests {
         assert_eq!(pts, vec![0, 300, 600]);
         // Non-positive step: empty.
         assert_eq!(r.steps(TimeDelta::ZERO).count(), 0);
+    }
+
+    #[test]
+    fn steps_count_exactly_over_the_widest_ranges() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        let huge = 1i64 << 62;
+        // (start, end, step, exact count, last point when cheap to reach).
+        let cases: [(i64, i64, i64, u64, Option<i64>); 6] = [
+            (0, max, 1, max as u64, None),
+            (0, max, 60, (max as u64).div_ceil(60), None),
+            (0, max, huge, 2, Some(huge)),
+            (min, max, 1, u64::MAX, None),
+            (min, max, 60, u64::MAX.div_ceil(60), None),
+            (min, max, huge, 4, Some(huge)),
+        ];
+        for (start, end, step, count, last) in cases {
+            let range = TimeRange::new(Timestamp::new(start), Timestamp::new(end)).unwrap();
+            let step = TimeDelta::seconds(step);
+            let exact = usize::try_from(count).unwrap();
+            assert_eq!(range.steps(step).size_hint(), (exact, Some(exact)));
+            let first: Vec<i128> = range
+                .steps(step)
+                .take(3)
+                .map(|t| i128::from(t.seconds()))
+                .collect();
+            let expected: Vec<i128> = (0..3.min(count))
+                .map(|i| i128::from(start) + i128::from(i) * i128::from(step.as_seconds()))
+                .collect();
+            assert_eq!(first, expected, "{range} by {step:?}");
+            if let Some(last) = last {
+                assert_eq!(range.steps(step).last(), Some(Timestamp::new(last)));
+            }
+        }
     }
 
     #[test]
