@@ -12,7 +12,7 @@ use batchlens_render::dashboard::Dashboard;
 use batchlens_render::linechart::LineChart;
 use batchlens_render::svg::to_svg;
 use batchlens_render::timeline::{TimelineStrip, TimelineView};
-use batchlens_trace::{JobId, TimeRange, Timestamp, TraceDataset};
+use batchlens_trace::{JobId, TimeDelta, TimeRange, Timestamp, TraceDataset};
 
 use std::sync::Arc;
 
@@ -511,8 +511,9 @@ impl BatchLens {
     /// Jumps the snapshot to the first timestamp (on the batch grid) at which
     /// any job is running — a convenience for "show me something".
     pub fn jump_to_first_activity(&mut self) {
-        let active = batchlens_trace::stats::active_batch_timestamps(&self.dataset);
-        if let Some(&t) = active.first() {
+        let grid = TimeDelta::BATCH_RESOLUTION;
+        let first = batchlens_trace::stats::active_grid_points(&self.dataset, grid).next();
+        if let Some(t) = first {
             self.apply(Event::SelectTimestamp(t));
         }
     }
@@ -597,6 +598,45 @@ mod tests {
         let mut app = BatchLens::new(ds);
         app.jump_to_first_activity();
         assert!(!app.snapshot().jobs.is_empty());
+    }
+
+    #[test]
+    fn jump_to_first_activity_steps_only_over_the_instances() {
+        use batchlens_trace::{
+            BatchInstanceRecord, MachineId, ServerUsageRecord, TaskId, TaskStatus,
+            UtilizationTriple,
+        };
+        // Usage at both ends of a span that reaches the last instant, and one
+        // instance in between: the scan may visit only the instance's grid
+        // points, not the ~3·10¹⁶ batch steps of the span.
+        let mut b = batchlens_trace::TraceDatasetBuilder::new();
+        b.allow_dangling_instances();
+        for t in [0, i64::MAX] {
+            b.push_usage(ServerUsageRecord {
+                time: Timestamp::new(t),
+                machine: MachineId::new(1),
+                util: UtilizationTriple::clamped(0.5, 0.5, 0.5),
+            });
+        }
+        b.push_instance(BatchInstanceRecord {
+            start_time: Timestamp::new(600),
+            end_time: Timestamp::new(1200),
+            job: JobId::new(1),
+            task: TaskId::new(1),
+            seq: 0,
+            total: 1,
+            machine: MachineId::new(1),
+            status: TaskStatus::Terminated,
+            cpu_avg: 0.5,
+            cpu_max: 0.5,
+            mem_avg: 0.5,
+            mem_max: 0.5,
+        });
+        let ds = b.build().unwrap();
+        assert_eq!(ds.span().unwrap().end(), Timestamp::new(i64::MAX));
+        let mut app = BatchLens::new(ds);
+        app.jump_to_first_activity();
+        assert_eq!(app.now(), Timestamp::new(600));
     }
 
     #[test]

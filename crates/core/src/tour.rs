@@ -85,13 +85,8 @@ impl GuidedTour {
 
     /// Computes the ordered list of interesting stops.
     pub fn discover(&self, ds: &TraceDataset) -> Vec<TourStop> {
-        let Some(span) = ds.span() else {
-            return Vec::new();
-        };
-        let times: Vec<Timestamp> = span
-            .steps(self.step)
-            .filter(|&t| !ds.jobs_running_at(t).is_empty())
-            .collect();
+        let times: Vec<Timestamp> =
+            batchlens_trace::stats::active_grid_points(ds, self.step).collect();
         if times.is_empty() {
             return Vec::new();
         }

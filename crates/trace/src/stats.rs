@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{TimeDelta, Timestamp, TraceDataset};
+use crate::{TimeDelta, TimeRange, Timestamp, TraceDataset};
 
 /// Aggregate statistics of a trace dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -209,12 +209,34 @@ pub fn overall_mean_utilization(ds: &TraceDataset) -> [f64; 3] {
 /// Returns `TimeDelta::BATCH_RESOLUTION`-aligned timestamps at which at least
 /// one job is running, useful for picking interesting snapshot times.
 pub fn active_batch_timestamps(ds: &TraceDataset) -> Vec<Timestamp> {
-    let Some(span) = ds.span() else {
-        return Vec::new();
-    };
-    span.steps(TimeDelta::BATCH_RESOLUTION)
-        .filter(|&t| !ds.jobs_running_at(t).is_empty())
-        .collect()
+    active_grid_points(ds, TimeDelta::BATCH_RESOLUTION).collect()
+}
+
+/// The grid points `span.start + k·step` at which a job is running,
+/// ascending (none for a non-positive `step`). Only the points inside the
+/// instance windows' extent, `[earliest start, latest end)`, are visited,
+/// so the work is bounded by the instances, not by the span, which one
+/// usage sample at `i64::MAX` stretches to ~3·10¹⁶ batch steps.
+pub fn active_grid_points(
+    ds: &TraceDataset,
+    step: TimeDelta,
+) -> impl Iterator<Item = Timestamp> + '_ {
+    let index = ds.instance_index();
+    let bounds = ds.span().zip(index.sorted_starts().first());
+    let extent = bounds
+        .zip(index.sorted_ends().last())
+        .filter(|_| step.is_positive());
+    let grid = extent.and_then(|((span, &lo), &hi)| {
+        // The first grid point at or after `lo`, in `i128`: it can lie past
+        // `i64::MAX`, and then there is none.
+        let [origin, lo, step_s] = [span.start().seconds(), lo.seconds(), step.as_seconds()];
+        let [origin, lo, step_s] = [origin, lo, step_s].map(i128::from);
+        let first = origin + (lo - origin + step_s - 1) / step_s * step_s;
+        TimeRange::new(Timestamp::new(i64::try_from(first).ok()?), hi).ok()
+    });
+    grid.into_iter()
+        .flat_map(move |grid| grid.steps(step))
+        .filter(move |&t| !ds.jobs_running_at(t).is_empty())
 }
 
 #[cfg(test)]
