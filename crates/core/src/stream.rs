@@ -1769,6 +1769,46 @@ mod tests {
             [5u32, 7, 9].map(MachineId::new).to_vec()
         );
         assert_eq!(m.ingested_events(), 1);
+
+        // Machine 11 is named only by a lifecycle event and machine 13 only
+        // by an instance start: both are known, but only machine 9, which
+        // reported usage, is tracked.
+        m.ingest_machine_event(MachineEventRecord {
+            time: Timestamp::new(200),
+            machine: MachineId::new(11),
+            event: MachineEvent::Remove,
+            capacity_cpu: 0.0,
+            capacity_mem: 0.0,
+            capacity_disk: 0.0,
+        });
+        m.instance_started(
+            JobId::new(4),
+            TaskId::new(1),
+            0,
+            MachineId::new(13),
+            Timestamp::new(350),
+        );
+        assert_eq!(
+            view.machine_ids(),
+            [3u32, 5, 7, 9, 11, 13].map(MachineId::new).to_vec()
+        );
+        assert_eq!(m.tracked_machines(), 1);
+        for (machine, checkpoints) in [(3u32, 1), (5, 0), (9, 0), (11, 1), (13, 0), (99, 0)] {
+            assert_eq!(
+                m.liveness_checkpoint_count(MachineId::new(machine)),
+                checkpoints
+            );
+        }
+        for t in [0i64, 200, 350, 450, 550, 1000].map(Timestamp::new) {
+            let frame = view.frame(t);
+            assert_eq!(frame.machine_ids(), &view.machine_ids()[..]);
+            assert_eq!(frame.running_triples(), &view.running_triples_at(t)[..]);
+            assert_eq!(frame.machines_active(), view.machines_active_at(t));
+            for machine in [3u32, 5, 7, 9, 11, 13, 99].map(MachineId::new) {
+                assert_eq!(frame.alive(machine), view.alive_at(machine, t), "{t}");
+                assert_eq!(frame.util_of(machine), view.util_at(machine, t), "{t}");
+            }
+        }
     }
 
     #[test]

@@ -402,14 +402,25 @@ mod tests {
                 util: UtilizationTriple::clamped(0.4, 0.3, 0.2),
             });
         }
-        b.push_machine_event(MachineEventRecord {
-            time: Timestamp::new(700),
-            machine: MachineId::new(7),
-            event: MachineEvent::Remove,
-            capacity_cpu: 0.0,
-            capacity_mem: 0.0,
-            capacity_disk: 0.0,
-        });
+        // Machine 9 is named only by a Remove event, machine 11 only by its
+        // usage samples.
+        for (time, machine) in [(700, 7u32), (500, 9)] {
+            b.push_machine_event(MachineEventRecord {
+                time: Timestamp::new(time),
+                machine: MachineId::new(machine),
+                event: MachineEvent::Remove,
+                capacity_cpu: 0.0,
+                capacity_mem: 0.0,
+                capacity_disk: 0.0,
+            });
+        }
+        for t in (600..1200).step_by(300) {
+            b.push_usage(ServerUsageRecord {
+                time: Timestamp::new(t),
+                machine: MachineId::new(11),
+                util: UtilizationTriple::clamped(0.1, 0.2, 0.3),
+            });
+        }
         b.build().unwrap()
     }
 
@@ -457,8 +468,8 @@ mod tests {
         let active = ds.machines_active_at(Timestamp::new(800));
         assert_eq!(
             active,
-            vec![MachineId::new(3), MachineId::new(5)],
-            "machine 7 removed at 700"
+            [3u32, 5, 11].map(MachineId::new).to_vec(),
+            "machine 9 removed at 500, machine 7 at 700"
         );
     }
 
@@ -478,7 +489,7 @@ mod tests {
             assert_eq!(frame.jobs_running(), DatasetQuery::jobs_running_at(&ds, t));
             assert_eq!(frame.machine_ids(), &ds.machine_ids()[..]);
             assert_eq!(frame.machines_active(), ds.machines_active_at(t));
-            for m in [3u32, 5, 7, 99] {
+            for m in [3u32, 5, 7, 9, 11, 99] {
                 let m = MachineId::new(m);
                 assert_eq!(frame.alive(m), DatasetQuery::alive_at(&ds, m, t));
                 assert_eq!(frame.util_of(m), DatasetQuery::util_at(&ds, m, t));
